@@ -34,7 +34,7 @@ class MethodSpec:
     alpha: float = 32.0
     variant: str = "AR"
     # scalar, or one value per task stage (last value repeats if short)
-    lam: object = 0.0
+    lam: object = 1e-5
 
     def __post_init__(self):
         if self.name not in METHODS:
@@ -138,7 +138,7 @@ class IncLoraDriver(Driver):
             site.stack.training_active = False
 
 
-class AmLoraDriver(Driver):
+class AmLoraDriver(IncLoraDriver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
         for site in model.sites.values():
@@ -153,13 +153,12 @@ class AmLoraDriver(Driver):
         for name, site in model.sites.items():
             site.stack.begin_task(seeds[name])
             site.stack.training_active = True
-            site.selector.extend_for_task(site.stack, seeds[name] + 1)
+            site.selector.extend_for_task(site.stack)
             site.selector.lam = lam
-            newest = len(site.selector.heads) - 1
-            for i, head in enumerate(site.selector.heads):
-                head.requires_grad = (self.spec.variant == "AR"
-                                      or i == newest)
-            params.extend(trainable_set(site.selector, site.stack))
+            trainable = trainable_set(site.selector, site.stack)
+            for head in site.selector.heads:
+                head.requires_grad = head in trainable
+            params.extend(trainable)
         return params
 
     def extra_loss(self, model):
@@ -170,10 +169,6 @@ class AmLoraDriver(Driver):
             term = sparsity_loss(site.selector)
             total = term if total is None else total + term
         return total
-
-    def end_stage(self, model, stage):
-        for site in model.sites.values():
-            site.stack.training_active = False
 
 
 _DRIVERS = {

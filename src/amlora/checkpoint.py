@@ -10,13 +10,12 @@ bit-for-bit. Optimizer state is not persisted.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .adapters import AdapterStack
+from .atomic import atomic_write
 from .errors import CheckpointFormatError
 from .model import ADAPTER_SITES, FORWARD_RULES, Backbone, ModelConfig, build_model
 from .selector import AttentionalSelector
@@ -82,16 +81,7 @@ def save_checkpoint(model: Backbone, path: str):
         blob += struct.pack("<I", data.ndim)
         blob += struct.pack(f"<{data.ndim}I", *data.shape)
         blob += data.tobytes()
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 def _read_exact(f, n: int) -> bytes:

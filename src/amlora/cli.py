@@ -17,6 +17,7 @@ offending key), 2 runtime or verification failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -26,13 +27,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import ortho
+from .atomic import atomic_write
 from .baselines import METHODS, MethodSpec, make_driver
 from .checkpoint import load_checkpoint
 from .configfile import (apply_overrides, config_digest, default_config,
                          format_config, load_config, to_method_spec,
                          to_model_config, to_stream, to_train_config)
 from .errors import ConfigError
-from .harness import run_stream
+from .harness import MetricsReport, run_stream
 from .model import ModelConfig, build_model
 from .tasks import ORDERS, generate_task
 
@@ -112,12 +114,9 @@ def _seeds(args, cfg) -> list[int]:
 
 
 def _run_cell(cfg: dict, method: str, order: str, seed: int,
-              out_dir: str, save_ckpt: bool):
+              ckpt: str | None = None):
     cell = dict(cfg)
     cell["method"], cell["order"], cell["seed"] = method, order, seed
-    ckpt = None
-    if save_ckpt:
-        ckpt = os.path.join(out_dir, f"ckpt_{method}_{order}_seed{seed}.bin")
     # The stream is a fixed benchmark keyed by the config's own seed; the
     # run seed only varies training (init, batching, dropout, pretraining).
     rep = run_stream(to_stream(cell, seed=cfg["seed"]), to_method_spec(cell),
@@ -125,14 +124,6 @@ def _run_cell(cfg: dict, method: str, order: str, seed: int,
                      checkpoint_path=ckpt)
     rep.config_digest = config_digest(cell)
     return rep
-
-
-def _write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
-    os.replace(tmp, path)
 
 
 def _overhead_text(reports) -> str:
@@ -170,8 +161,10 @@ def _cmd_run(args) -> int:
 
     def work(i):
         m, o, s = grid[i]
+        ckpt = (os.path.join(out_dir, f"ckpt_{m}_{o}_seed{s}.bin")
+                if args.save_checkpoints else None)
         try:
-            results[i] = _run_cell(cfg, m, o, s, out_dir, args.save_checkpoints)
+            results[i] = _run_cell(cfg, m, o, s, ckpt)
         except Exception as exc:  # keep the grid going; reported below
             failures[i] = f"{type(exc).__name__}: {exc}"
 
@@ -187,13 +180,13 @@ def _cmd_run(args) -> int:
     if reports:
         from .harness import emit_report
         emit_report(reports, out_dir)
-        _write_text(os.path.join(out_dir, "config_digest.txt"),
-                    f"digest={config_digest(cfg)}\n{format_config(cfg)}")
+        atomic_write(os.path.join(out_dir, "config_digest.txt"),
+                     f"digest={config_digest(cfg)}\n{format_config(cfg)}")
         seen = set()
         first_per_method = [r for r in reports
                             if not (r.method in seen or seen.add(r.method))]
-        _write_text(os.path.join(out_dir, "overhead.txt"),
-                    _overhead_text(first_per_method))
+        atomic_write(os.path.join(out_dir, "overhead.txt"),
+                     _overhead_text(first_per_method))
 
     failed = 0
     for i, (m, o, s) in enumerate(grid):
@@ -308,16 +301,12 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_inspect_gates(args) -> int:
     cfg = _effective_config(args)
-    cfg["method"] = "amlora"
     out_dir = _out_dir(args)
     seed = _seeds(args, cfg)[0]
     os.makedirs(out_dir, exist_ok=True)
     ckpt = os.path.join(out_dir, f"inspect_model_seed{seed}.bin")
-    cell = dict(cfg)
-    cell["seed"] = seed
-    stream = to_stream(cell, seed=cfg["seed"])
-    run_stream(stream, to_method_spec(cell), to_model_config(cell),
-               to_train_config(cell), seed, checkpoint_path=ckpt)
+    _run_cell(cfg, "amlora", cfg["order"], seed, ckpt)
+    stream = to_stream(cfg)
     model = load_checkpoint(ckpt)
     for site in model.sites.values():
         site.gate_capture = {}
@@ -338,37 +327,33 @@ def _cmd_inspect_gates(args) -> int:
     for name, i, mean in rows:
         for j, v in enumerate(mean):
             lines.append(f"{name},{i},{j},{repr(float(v))}")
-    _write_text(os.path.join(out_dir, "gates.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out_dir, "gates.csv"), "\n".join(lines) + "\n")
     print(f"wrote {out_dir}/gates.csv")
     return 0
 
 
 def _cmd_report(args) -> int:
-    import csv as _csv
     out_dir = _out_dir(args)
     path = os.path.join(out_dir, "metrics.csv")
     if not os.path.exists(path):
         raise ConfigError(f"no metrics.csv under {out_dir!r}; run `run` first")
     acc = {}
     with open(path, newline="", encoding="utf-8") as f:
-        for row in _csv.DictReader(f):
+        for row in csv.DictReader(f):
             key = (row["method"], int(row["seed"]), row["order_id"])
             acc.setdefault(key, {})[(int(row["after_task"]),
                                      int(row["eval_task"]))] = \
                 float(row["accuracy"])
     per_method = {}
-    for (method, _, _), cells in acc.items():
+    for key, cells in acc.items():
         n = max(t for t, _ in cells) + 1
-        final = [cells[(n - 1, i)] for i in range(n)]
-        forget = [max(cells[(t, i)] for t in range(i, n)) - cells[(n - 1, i)]
-                  for i in range(n)]
-        entry = per_method.setdefault(method, {"acc": [], "forget": []})
-        entry["acc"].append(float(np.mean(final)))
-        entry["forget"].append(float(np.mean(forget)))
+        rep = MetricsReport(*key, acc=[[cells[(t, i)] for i in range(t + 1)]
+                                       for t in range(n)])
+        per_method.setdefault(key[0], []).append(
+            (rep.final_average_accuracy(), rep.mean_forgetting()))
     print(f"{'method':>10} {'runs':>4} {'avg_acc':>16} {'mean_forgetting':>16}")
     for method in sorted(per_method):
-        e = per_method[method]
-        accs, forgets = np.array(e["acc"]), np.array(e["forget"])
+        accs, forgets = map(np.array, zip(*per_method[method]))
         print(f"{method:>10} {len(accs):>4} "
               f"{accs.mean():>8.4f}+-{accs.std():<6.4f} "
               f"{forgets.mean():>8.4f}+-{forgets.std():<6.4f}")

@@ -1,7 +1,8 @@
 """Flat key=value experiment configs: parsing, overrides, digests, bridges.
 
 A config is a plain dict with a fixed key set; unknown keys are rejected by
-name so typos fail loudly. ``lambda`` accepts a single float or a
+name so typos fail loudly. ``_SCHEMA`` is the one place a key, its parser
+and its default are defined. ``lambda`` accepts a single float or a
 comma-separated per-task schedule. The digest is a sha256 over the canonical
 serialization, so two runs with the same digest ran the same configuration.
 """
@@ -18,33 +19,27 @@ from .selector import VARIANTS
 from .tasks import GENERATORS, ORDERS, TaskStream, build_stream
 
 
-def _int(key):
-    def conv(v):
+def _number(kind, what):
+    def conv(key, v):
         try:
-            return int(v)
+            return kind(v)
         except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {v!r}")
+            raise ConfigError(f"{key} expects {what}, got {v!r}")
     return conv
 
 
-def _float(key):
-    def conv(v):
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"{key} expects a number, got {v!r}")
-    return conv
+_int, _float = _number(int, "an integer"), _number(float, "a number")
 
 
-def _choice(key, options):
-    def conv(v):
+def _choice(*options):
+    def conv(key, v):
         if v not in options:
             raise ConfigError(f"{key} must be one of {sorted(options)}, got {v!r}")
         return v
     return conv
 
 
-def _lambda(v):
+def _lambda(key, v):
     try:
         parts = [float(p) for p in str(v).split(",")]
     except ValueError:
@@ -54,7 +49,7 @@ def _lambda(v):
     return parts[0] if len(parts) == 1 else parts
 
 
-def _sites(v):
+def _sites(key, v):
     parts = tuple(p.strip() for p in str(v).split(",") if p.strip())
     bad = set(parts) - set(ADAPTER_SITES)
     if bad:
@@ -65,59 +60,49 @@ def _sites(v):
     return parts
 
 
+# key -> (parser, default); the TrainConfig, ModelConfig, MethodSpec and
+# build_stream defaults equal these values.
 _SCHEMA = {
-    "backbone": _choice("backbone", ("transformer", "mlp")),
-    "d": _int("d"),
-    "layers": _int("layers"),
-    "heads": _int("heads"),
-    "seq_len": _int("seq_len"),
-    "vocab": _int("vocab"),
-    "tasks": _int("tasks"),
-    "classes": _int("classes"),
-    "train_per_task": _int("train_per_task"),
-    "eval_per_task": _int("eval_per_task"),
-    "epochs": _int("epochs"),
-    "lr": _float("lr"),
-    "batch": _int("batch"),
-    "r": _int("r"),
-    "alpha": _float("alpha"),
-    "lambda": _lambda,
-    "variant": _choice("variant", VARIANTS),
-    "sites": _sites,
-    "order": _choice("order", tuple(ORDERS)),
-    "seed": _int("seed"),
-    "method": _choice("method", METHODS),
-    "generator": _choice("generator", GENERATORS),
-    "dropout": _float("dropout"),
-    "p_sig": _float("p_sig"),
-    "sig_tokens": _int("sig_tokens"),
-    "optimizer": _choice("optimizer", ("adam", "sgd")),
-    "pretrain_epochs": _int("pretrain_epochs"),
-    "pretrain_lr": _float("pretrain_lr"),
+    "backbone": (_choice("transformer", "mlp"), "transformer"),
+    "d": (_int, 32),
+    "layers": (_int, 2),
+    "heads": (_int, 4),
+    "seq_len": (_int, 16),
+    "vocab": (_int, 128),
+    "tasks": (_int, 4),
+    "classes": (_int, 4),
+    "train_per_task": (_int, 1000),
+    "eval_per_task": (_int, 400),
+    "epochs": (_int, 1),
+    "lr": (_float, 2e-2),
+    "batch": (_int, 8),
+    "r": (_int, 8),
+    "alpha": (_float, 32.0),
+    "lambda": (_lambda, 1e-5),
+    "variant": (_choice(*VARIANTS), "AR"),
+    "sites": (_sites, ("query", "value")),
+    "order": (_choice(*ORDERS), "order1"),
+    "seed": (_int, 0),
+    "method": (_choice(*METHODS), "amlora"),
+    "generator": (_choice(*GENERATORS), "token_signature"),
+    "dropout": (_float, 0.1),
+    "p_sig": (_float, 0.4),
+    "sig_tokens": (_int, 6),
+    "optimizer": (_choice("adam", "sgd"), "adam"),
+    "pretrain_epochs": (_int, 3),
+    "pretrain_lr": (_float, 1e-3),
 }
 
 
 def default_config() -> dict:
-    return {
-        "backbone": "transformer",
-        "d": 32, "layers": 2, "heads": 4, "seq_len": 16, "vocab": 128,
-        "tasks": 4, "classes": 4, "train_per_task": 1000,
-        "eval_per_task": 400,
-        "epochs": 1, "lr": 2e-2, "batch": 8,
-        "r": 8, "alpha": 32.0, "lambda": 1e-5, "variant": "AR",
-        "sites": ("query", "value"), "order": "order1",
-        "seed": 0, "method": "amlora",
-        "generator": "token_signature", "dropout": 0.1,
-        "p_sig": 0.4, "sig_tokens": 6, "optimizer": "adam",
-        "pretrain_epochs": 3, "pretrain_lr": 1e-3,
-    }
+    return {key: default for key, (_, default) in _SCHEMA.items()}
 
 
 def set_key(cfg: dict, key: str, value: str):
     """Parse and set one key, rejecting unknown names."""
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    cfg[key] = _SCHEMA[key](value)
+    cfg[key] = _SCHEMA[key][0](key, value)
 
 
 def parse_config(text: str, base: dict | None = None) -> dict:

@@ -10,20 +10,19 @@ outputs use fixed column sets so external tooling can diff and plot them:
 * trajectory.csv -- per-task accuracy curves keyed the same way, rows grouped
   by eval_task so one task's curve is contiguous.
 
-All files are written atomically (temp file, then rename).
+All files are written through ``atomic.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import os
-import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from .atomic import write_csv
 from .autodiff import Optimizer
 from .baselines import Driver, MethodSpec, make_driver
 from .errors import ConfigError, StateError
@@ -34,13 +33,13 @@ from .tasks import TaskData, TaskStream, generate_task
 @dataclass
 class TrainConfig:
     epochs: int = 1
-    lr: float = 1e-2
+    lr: float = 2e-2
     batch_size: int = 8
     optimizer: str = "adam"
     eval_batch: int = 200
     # Base-model pretraining on the stream's pretext task, before any
     # sequential stage; 0 epochs disables it.
-    pretrain_epochs: int = 2
+    pretrain_epochs: int = 3
     pretrain_lr: float = 1e-3
 
     def validate(self):
@@ -154,11 +153,8 @@ def pretrain_base(model_cfg: ModelConfig, model_seed: int, stream: TaskStream,
     if stream.pretrain is not None and train_cfg.pretrain_epochs > 0:
         pdata = generate_task(stream.pretrain)
         model.set_base_trainable(True)
-        pcfg = TrainConfig(epochs=train_cfg.pretrain_epochs,
-                           lr=train_cfg.pretrain_lr,
-                           batch_size=train_cfg.batch_size,
-                           optimizer=train_cfg.optimizer,
-                           pretrain_epochs=0)
+        pcfg = replace(train_cfg, epochs=train_cfg.pretrain_epochs,
+                       lr=train_cfg.pretrain_lr, pretrain_epochs=0)
         opt = Optimizer([t for _, t in model.base_parameters()],
                         kind=train_cfg.optimizer, lr=train_cfg.pretrain_lr)
         train_task(model, opt, pdata.train_x, pdata.train_y, pcfg,
@@ -232,21 +228,6 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
     return report
 
 
-def _atomic_write_rows(path: str, header: list[str], rows: list[list]):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit_report(reports: list[MetricsReport], out_dir: str):
     """Write metrics.csv, summary.csv, and trajectory.csv for a batch of runs."""
     os.makedirs(out_dir, exist_ok=True)
@@ -270,15 +251,15 @@ def emit_report(reports: list[MetricsReport], out_dir: str):
             for t in range(i, n):
                 traj_rows.append([r.method, r.seed, r.order_id, t, i,
                                   repr(float(r.acc[t][i]))])
-    _atomic_write_rows(
+    write_csv(
         os.path.join(out_dir, "metrics.csv"),
         ["method", "seed", "order_id", "after_task", "eval_task", "accuracy"],
         metrics_rows)
-    _atomic_write_rows(
+    write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["method", "seed", "avg_accuracy", "mean_forgetting", "trainable_params"],
         summary_rows)
-    _atomic_write_rows(
+    write_csv(
         os.path.join(out_dir, "trajectory.csv"),
         ["method", "seed", "order_id", "after_task", "eval_task", "accuracy"],
         traj_rows)

@@ -10,14 +10,13 @@ random study, argmax label-flip rates.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write, write_csv
 from .errors import ConfigError
 
 NONLINEARITIES = ("sin", "relu", "mlp")
@@ -178,26 +177,9 @@ def write_ortho_report(trials: list[TrialResult], text_summary: str,
                        out_dir: str):
     """ortho_report.csv (trial rows) plus a human-readable summary file."""
     os.makedirs(out_dir, exist_ok=True)
-
-    def atomic(path, write_fn, mode="w"):
-        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, mode, encoding="utf-8", newline="") as f:
-                write_fn(f)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def write_csv(f):
-        w = csv.writer(f)
-        w.writerow(["trial", "n", "nonlinearity", "residual", "deviation",
-                    "label_flip"])
-        for t in trials:
-            w.writerow([t.trial, t.n, t.nonlinearity, repr(t.residual),
-                        repr(t.deviation), int(t.label_flip)])
-
-    atomic(os.path.join(out_dir, "ortho_report.csv"), write_csv)
-    atomic(os.path.join(out_dir, "ortho_summary.txt"),
-           lambda f: f.write(text_summary))
+    write_csv(os.path.join(out_dir, "ortho_report.csv"),
+              ["trial", "n", "nonlinearity", "residual", "deviation",
+               "label_flip"],
+              [[t.trial, t.n, t.nonlinearity, repr(t.residual),
+                repr(t.deviation), int(t.label_flip)] for t in trials])
+    atomic_write(os.path.join(out_dir, "ortho_summary.txt"), text_summary)

@@ -23,7 +23,7 @@ class AttentionalSelector:
     """Ordered score heads [w_0, w_1, ..., w_n], one per stacked adapter."""
 
     def __init__(self, stack_len: int, d_out: int, variant: str = "AR",
-                 lam: float = 0.0, seed: int = 0):
+                 lam: float = 0.0):
         if stack_len < 1:
             raise ConfigError("selector needs at least one head")
         if variant not in VARIANTS:
@@ -40,7 +40,7 @@ class AttentionalSelector:
     def __len__(self) -> int:
         return len(self.heads)
 
-    def extend_for_task(self, stack: AdapterStack, seed: int = 0):
+    def extend_for_task(self, stack: AdapterStack):
         """Append one zero-initialized head after the stack grew by one."""
         if len(self.heads) == len(stack):
             raise StateError("selector already matches the stack length")
@@ -55,8 +55,8 @@ class AttentionalSelector:
 
 
 def selector_init(stack_len: int, d_out: int, variant: str = "AR",
-                  lam: float = 0.0, seed: int = 0) -> AttentionalSelector:
-    return AttentionalSelector(stack_len, d_out, variant, lam, seed)
+                  lam: float = 0.0) -> AttentionalSelector:
+    return AttentionalSelector(stack_len, d_out, variant, lam)
 
 
 def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor:
@@ -111,8 +111,9 @@ def trainable_set(selector: AttentionalSelector, stack: AdapterStack,
                   variant: str | None = None) -> list[Tensor]:
     """Parameters that train for the active task: new adapter pair plus heads.
 
-    AR trains every head; NR trains only the newest head. The zero adapter
-    has no parameters and can never appear here.
+    AR trains every head; NR trains only the newest head. This is the only
+    encoding of that rule; drivers set ``requires_grad`` from membership.
+    The zero adapter has no parameters and can never appear here.
     """
     if not stack.training_active:
         raise StateError("trainable_set requires an active task")

@@ -90,10 +90,18 @@ def _background_count(params: dict) -> int:
     return bg
 
 
+def _token_row(p: dict, sig: np.ndarray, bg: int, rng: np.random.Generator):
+    """Background tokens with a signature token at each p_sig position."""
+    L = p["seq_len"]
+    use_sig = rng.random(L) < p.get("p_sig", 0.4)
+    toks = rng.integers(0, max(bg, 1), size=L)
+    toks[use_sig] = sig[rng.integers(0, len(sig), size=int(use_sig.sum()))]
+    return toks
+
+
 def _token_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
     p = spec.params
     L = p["seq_len"]
-    p_sig = p.get("p_sig", 0.4)
     bg = _background_count(p)
     n = per_class * spec.num_classes
     x = np.empty((n, L), dtype=np.int64)
@@ -102,10 +110,7 @@ def _token_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
     for cls in range(spec.num_classes):
         sig = signature_tokens(p, spec.task_id, cls)
         for _ in range(per_class):
-            use_sig = rng.random(L) < p_sig
-            toks = rng.integers(0, max(bg, 1), size=L)
-            toks[use_sig] = sig[rng.integers(0, len(sig), size=int(use_sig.sum()))]
-            x[row] = toks
+            x[row] = _token_row(p, sig, bg, rng)
             y[row] = cls
             row += 1
     return x, y
@@ -149,11 +154,7 @@ def generate_task(spec: TaskSpec) -> TaskData:
             tries = 0
             while eval_x[i].tobytes() in seen:
                 sig = signature_tokens(p, spec.task_id, int(eval_y[i]))
-                use_sig = eval_rng.random(p["seq_len"]) < p.get("p_sig", 0.4)
-                toks = eval_rng.integers(0, max(bg, 1), size=p["seq_len"])
-                toks[use_sig] = sig[eval_rng.integers(0, len(sig),
-                                                      size=int(use_sig.sum()))]
-                eval_x[i] = toks
+                eval_x[i] = _token_row(p, sig, bg, eval_rng)
                 tries += 1
                 if tries > 100:
                     raise ConfigError(
@@ -178,7 +179,7 @@ def build_stream(num_tasks: int = 4, num_classes: int = 4,
                  generator: str = "token_signature", vocab: int = 128,
                  seq_len: int = 16, dim: int = 32, seed: int = 0,
                  order: str = "order1", p_sig: float = 0.4,
-                 sig_tokens_per_class: int = 4) -> TaskStream:
+                 sig_tokens_per_class: int = 6) -> TaskStream:
     """Stream of per-task specs, permuted by one of the built-in orders."""
     if train_per_task % num_classes or eval_per_task % num_classes:
         raise ConfigError("per-task sample counts must divide by num_classes")
