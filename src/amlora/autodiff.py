@@ -45,14 +45,13 @@ def _recording() -> bool:
 class Tensor:
     """Dense n-dimensional float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.is_leaf = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -95,12 +94,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("tag", "inputs", "output", "backward_fn")
+    __slots__ = ("tag", "output", "backward_fn")
 
-    def __init__(self, tag: str, inputs: Sequence[Tensor], output: Tensor,
+    def __init__(self, tag: str, output: Tensor,
                  backward_fn: Callable[[np.ndarray], None]):
         self.tag = tag
-        self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
 
@@ -114,8 +112,7 @@ def _make(tag: str, inputs: Sequence[Tensor], data: np.ndarray,
     out = Tensor(data)
     if _recording() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.is_leaf = False
-        _state().tape.append(_Node(tag, tuple(inputs), out, backward_fn))
+        _state().tape.append(_Node(tag, out, backward_fn))
     return out
 
 

@@ -147,12 +147,10 @@ class AmLoraDriver(IncLoraDriver):
         model.set_rule("gated")
 
     def start_stage(self, model, stage, seed):
-        seeds = _site_seeds(seed, model.sites)
+        super().start_stage(model, stage, seed)
         lam = self.spec.lam_at(stage)
         params = []
-        for name, site in model.sites.items():
-            site.stack.begin_task(seeds[name])
-            site.stack.training_active = True
+        for site in model.sites.values():
             site.selector.extend_for_task(site.stack)
             site.selector.lam = lam
             trainable = trainable_set(site.selector, site.stack)

@@ -21,7 +21,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,7 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seeds", metavar="CSV",
                         help="comma-separated run seeds (default: config seed)")
         sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel grid cells (default 1)")
+                        help="run grid cells in N worker processes; 1 runs "
+                             "them in this process (default 1); output "
+                             "bytes do not depend on N")
         return sp
 
     runp = common(sub.add_parser("run", help="run an experiment grid"))
@@ -119,11 +120,21 @@ def _run_cell(cfg: dict, method: str, order: str, seed: int,
     cell["method"], cell["order"], cell["seed"] = method, order, seed
     # The stream is a fixed benchmark keyed by the config's own seed; the
     # run seed only varies training (init, batching, dropout, pretraining).
-    rep = run_stream(to_stream(cell, seed=cfg["seed"]), to_method_spec(cell),
-                     to_model_config(cell), to_train_config(cell), seed,
-                     checkpoint_path=ckpt)
-    rep.config_digest = config_digest(cell)
-    return rep
+    return run_stream(to_stream(cell, seed=cfg["seed"]), to_method_spec(cell),
+                      to_model_config(cell), to_train_config(cell), seed,
+                      checkpoint_path=ckpt)
+
+
+def _try_cell(cell):
+    """One grid cell, ``(cfg, method, order, seed, ckpt)``, as
+    ``(report, None)`` or ``(None, "<Type>: <message>")``.
+
+    Module-level so that worker processes can unpickle it by name.
+    """
+    try:
+        return _run_cell(*cell), None
+    except Exception as exc:  # keep the grid going; reported by the caller
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _overhead_text(reports) -> str:
@@ -155,28 +166,19 @@ def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     grid = [(m, o, s) for m in methods for o in orders for s in seeds]
-
-    results = [None] * len(grid)
-    failures = [None] * len(grid)
-
-    def work(i):
-        m, o, s = grid[i]
-        ckpt = (os.path.join(out_dir, f"ckpt_{m}_{o}_seed{s}.bin")
-                if args.save_checkpoints else None)
-        try:
-            results[i] = _run_cell(cfg, m, o, s, ckpt)
-        except Exception as exc:  # keep the grid going; reported below
-            failures[i] = f"{type(exc).__name__}: {exc}"
+    cells = [(cfg, m, o, s,
+              os.path.join(out_dir, f"ckpt_{m}_{o}_seed{s}.bin")
+              if args.save_checkpoints else None) for m, o, s in grid]
 
     os.makedirs(out_dir, exist_ok=True)
     if args.jobs == 1 or len(grid) == 1:
-        for i in range(len(grid)):
-            work(i)
+        outcomes = list(map(_try_cell, cells))
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, range(len(grid))))
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(_try_cell, cells))
 
-    reports = [r for r in results if r is not None]
+    reports = [rep for rep, _ in outcomes if rep is not None]
     if reports:
         from .harness import emit_report
         emit_report(reports, out_dir)
@@ -189,12 +191,11 @@ def _cmd_run(args) -> int:
                      _overhead_text(first_per_method))
 
     failed = 0
-    for i, (m, o, s) in enumerate(grid):
-        if failures[i] is not None:
-            print(f"{m:>10} {o} seed={s}: FAILED  {failures[i]}")
+    for (m, o, s), (rep, error) in zip(grid, outcomes):
+        if error is not None:
+            print(f"{m:>10} {o} seed={s}: FAILED  {error}")
             failed += 1
         else:
-            rep = results[i]
             print(f"{m:>10} {o} seed={s}: final_avg_acc="
                   f"{rep.final_average_accuracy():.4f} "
                   f"mean_forgetting={rep.mean_forgetting():.4f}")

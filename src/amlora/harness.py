@@ -62,7 +62,6 @@ class MetricsReport:
     acc: list[list[float]] = field(default_factory=list)
     trainable_per_task: list[int] = field(default_factory=list)
     wall_clock: list[float] = field(default_factory=list)
-    config_digest: str = ""
     base_params: int = 0
     adapter_params_per_site: int = 0
     selector_params_per_site: int = 0

@@ -68,7 +68,7 @@ class TaskStream:
 def signature_tokens(params: dict, task_id: int, cls: int) -> np.ndarray:
     """The token ids owned by (task, class); disjoint across both."""
     vocab = params["vocab"]
-    per_class = params.get("sig_tokens_per_class", 4)
+    per_class = params["sig_tokens_per_class"]
     num_tasks = params["num_tasks"]
     num_classes = params["num_classes"]
     bg = vocab - num_tasks * num_classes * per_class
@@ -78,14 +78,14 @@ def signature_tokens(params: dict, task_id: int, cls: int) -> np.ndarray:
 
 def _background_count(params: dict) -> int:
     vocab = params["vocab"]
-    per_class = params.get("sig_tokens_per_class", 4)
+    per_class = params["sig_tokens_per_class"]
     reserved = params["num_tasks"] * params["num_classes"] * per_class
     if reserved > vocab:
         raise ConfigError(
             f"{params['num_tasks']} tasks x {params['num_classes']} classes x "
             f"{per_class} signature tokens exceed vocabulary {vocab}")
     bg = vocab - reserved
-    if bg < 1 and params.get("p_sig", 0.4) < 1.0:
+    if bg < 1 and params["p_sig"] < 1.0:
         raise ConfigError("no background tokens left but p_sig < 1")
     return bg
 
@@ -93,7 +93,7 @@ def _background_count(params: dict) -> int:
 def _token_row(p: dict, sig: np.ndarray, bg: int, rng: np.random.Generator):
     """Background tokens with a signature token at each p_sig position."""
     L = p["seq_len"]
-    use_sig = rng.random(L) < p.get("p_sig", 0.4)
+    use_sig = rng.random(L) < p["p_sig"]
     toks = rng.integers(0, max(bg, 1), size=L)
     toks[use_sig] = sig[rng.integers(0, len(sig), size=int(use_sig.sum()))]
     return toks
@@ -119,9 +119,9 @@ def _token_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
 def _gaussian_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
     p = spec.params
     dim = p["dim"]
-    radius = p.get("radius", 2.0)
-    noise = p.get("noise_std", 0.5)
-    rotation = p.get("rotation", 0.0)
+    radius = p["radius"]
+    noise = p["noise_std"]
+    rotation = p["rotation"]
     n = per_class * spec.num_classes
     x = rng.normal(0.0, noise, size=(n, dim))
     y = np.empty(n, dtype=np.int64)
