@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .adapters import AdapterStack
 from .errors import ConfigError
 from .selector import selector_init, sparsity_loss, trainable_set
@@ -165,7 +166,7 @@ class AmLoraDriver(IncLoraDriver):
             if site.selector is None or site.selector.lam == 0.0:
                 continue
             term = sparsity_loss(site.selector)
-            total = term if total is None else total + term
+            total = term if total is None else ad.add(total, term)
         return total
 
 

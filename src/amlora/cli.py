@@ -46,22 +46,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sequential low-rank adapter experiments with gated mixing.")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", metavar="PATH",
-                        help="key=value config file (defaults apply if omitted)")
-        sp.add_argument("--override", action="append", default=[],
-                        metavar="K=V", help="config override, repeatable")
+    def verb(name, help_text, config=False, seeds=False):
+        """A subcommand with ``--out-dir`` plus only the flags it reads."""
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--out-dir", metavar="PATH",
                         help="output directory (env AMLORA_OUT, else amlora_out)")
-        sp.add_argument("--seeds", metavar="CSV",
-                        help="comma-separated run seeds (default: config seed)")
-        sp.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run grid cells in N worker processes; 1 runs "
-                             "them in this process (default 1); output "
-                             "bytes do not depend on N")
+        if config:
+            sp.add_argument("--config", metavar="PATH",
+                            help="key=value config file (defaults apply if omitted)")
+            sp.add_argument("--override", action="append", default=[],
+                            metavar="K=V", help="config override, repeatable")
+        if seeds:
+            sp.add_argument("--seeds", metavar="CSV",
+                            help="comma-separated run seeds (default: config seed)")
         return sp
 
-    runp = common(sub.add_parser("run", help="run an experiment grid"))
+    runp = verb("run", "run an experiment grid", config=True, seeds=True)
+    runp.add_argument("--jobs", type=int, default=1, metavar="N",
+                      help="run grid cells in N worker processes; 1 runs them "
+                           "in this process (default 1); output bytes do not "
+                           "depend on N")
     runp.add_argument("--methods", metavar="CSV",
                       help="comma-separated methods (default: config method)")
     runp.add_argument("--orders", metavar="CSV",
@@ -69,17 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--save-checkpoints", action="store_true",
                       help="write a final model checkpoint per grid cell")
 
-    orthop = common(sub.add_parser(
-        "verify-ortho", help="check the orthogonality counterexamples"))
+    orthop = verb("verify-ortho", "check the orthogonality counterexamples")
     orthop.add_argument("--trials", type=int, default=100,
                         help="random-study trials per nonlinearity")
 
-    common(sub.add_parser(
-        "grad-check", help="finite-difference check on a toy gated model"))
-    common(sub.add_parser(
-        "inspect-gates", help="dump mean gate distributions after training"))
-    common(sub.add_parser(
-        "report", help="aggregate metrics.csv in the out dir"))
+    verb("grad-check", "finite-difference check on a toy gated model",
+         config=True)
+    verb("inspect-gates", "dump mean gate distributions after training",
+         config=True, seeds=True)
+    verb("report", "aggregate metrics.csv in the out dir")
     return p
 
 
@@ -108,8 +110,9 @@ def _effective_config(args) -> dict:
 def _seeds(args, cfg) -> list[int]:
     if not args.seeds:
         return [cfg["seed"]]
+    items = _parse_csv_list(args.seeds, "seed")
     try:
-        return [int(s) for s in args.seeds.split(",") if s.strip()]
+        return [int(s) for s in items]
     except ValueError:
         raise ConfigError(f"--seeds expects integers, got {args.seeds!r}")
 
@@ -178,30 +181,29 @@ def _cmd_run(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_try_cell, cells))
 
-    reports = [rep for rep, _ in outcomes if rep is not None]
-    if reports:
-        from .harness import emit_report
-        emit_report(reports, out_dir)
-        atomic_write(os.path.join(out_dir, "config_digest.txt"),
-                     f"digest={config_digest(cfg)}\n{format_config(cfg)}")
-        seen = set()
-        first_per_method = [r for r in reports
-                            if not (r.method in seen or seen.add(r.method))]
-        atomic_write(os.path.join(out_dir, "overhead.txt"),
-                     _overhead_text(first_per_method))
-
-    failed = 0
     for (m, o, s), (rep, error) in zip(grid, outcomes):
         if error is not None:
             print(f"{m:>10} {o} seed={s}: FAILED  {error}")
-            failed += 1
         else:
             print(f"{m:>10} {o} seed={s}: final_avg_acc="
                   f"{rep.final_average_accuracy():.4f} "
                   f"mean_forgetting={rep.mean_forgetting():.4f}")
+    reports = [rep for rep, _ in outcomes if rep is not None]
+    if not reports:
+        print(f"no run succeeded (0/{len(grid)} runs); no CSV written")
+        return 2
+    from .harness import emit_report
+    emit_report(reports, out_dir)
+    atomic_write(os.path.join(out_dir, "config_digest.txt"),
+                 f"digest={config_digest(cfg)}\n{format_config(cfg)}")
+    seen = set()
+    first_per_method = [r for r in reports
+                        if not (r.method in seen or seen.add(r.method))]
+    atomic_write(os.path.join(out_dir, "overhead.txt"),
+                 _overhead_text(first_per_method))
     print(f"wrote {out_dir}/metrics.csv, summary.csv, trajectory.csv "
           f"({len(reports)}/{len(grid)} runs)")
-    return 2 if failed else 0
+    return 2 if len(reports) < len(grid) else 0
 
 
 def _check(label: str, ok: bool, detail: str) -> bool:
@@ -286,7 +288,7 @@ def gradcheck_toy(seed: int = 0) -> float:
     def loss_fn(_params):
         loss = ad.cross_entropy(model.forward(x, mode="eval"), y)
         extra = driver.extra_loss(model)
-        return loss + extra if extra is not None else loss
+        return ad.add(loss, extra) if extra is not None else loss
 
     return ad.finite_diff_check(loss_fn, params)
 

@@ -27,7 +27,7 @@ from .autodiff import Optimizer
 from .baselines import Driver, MethodSpec, make_driver
 from .errors import ConfigError, StateError
 from .model import Backbone, ModelConfig, build_model
-from .tasks import TaskData, TaskStream, generate_task
+from .tasks import GENERATORS, TaskData, TaskStream, generate_task
 
 
 @dataclass
@@ -36,7 +36,6 @@ class TrainConfig:
     lr: float = 2e-2
     batch_size: int = 8
     optimizer: str = "adam"
-    eval_batch: int = 200
     # Base-model pretraining on the stream's pretext task, before any
     # sequential stage; 0 epochs disables it.
     pretrain_epochs: int = 3
@@ -105,7 +104,7 @@ def train_task(model: Backbone, optimizer: Optimizer | None, x: np.ndarray,
             if extra_loss_fn is not None:
                 extra = extra_loss_fn()
                 if extra is not None:
-                    loss = loss + extra
+                    loss = ad.add(loss, extra)
             if not np.isfinite(loss.data):
                 ad.reset_tape()
                 raise StateError(f"non-finite loss at step {step}")
@@ -166,6 +165,11 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
                train_cfg: TrainConfig, seed: int, out_dir: str | None = None,
                checkpoint_path: str | None = None) -> MetricsReport:
     """Train one method over the stream; flush a partial report on abort."""
+    for spec in stream.tasks:  # an unknown generator fails in generate_task
+        want = GENERATORS.get(spec.generator, model_cfg.backbone)
+        if model_cfg.backbone != want:
+            raise ConfigError(f"generator {spec.generator!r} needs backbone "
+                              f"{want!r}, got backbone {model_cfg.backbone!r}")
     model_ss, stage_root = np.random.SeedSequence(seed).spawn(2)
     aux = stage_root.spawn(len(stream) + 2)
     stage_seeds = [int(ss.generate_state(1)[0]) for ss in aux]
@@ -206,11 +210,10 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
             driver.end_stage(model, stage)
 
             if driver.fresh_model_per_stage:
-                own_acc.append(evaluate(model, tdata, train_cfg.eval_batch))
+                own_acc.append(evaluate(model, tdata))
                 row = list(own_acc)
             else:
-                row = [evaluate(model, data[i], train_cfg.eval_batch)
-                       for i in range(stage + 1)]
+                row = [evaluate(model, data[i]) for i in range(stage + 1)]
             report.acc.append(row)
             report.trainable_per_task.append(sum(p.size for p in params))
             report.wall_clock.append(wall)
@@ -234,22 +237,20 @@ def emit_report(reports: list[MetricsReport], out_dir: str):
     summary_rows = []
     traj_rows = []
     for r in reports:
-        n = r.num_tasks()
-        for t in range(n):
-            if len(r.acc[t]) != t + 1:
+        rows = []
+        for t, acc_row in enumerate(r.acc):
+            if len(acc_row) != t + 1:
                 raise StateError(
                     f"accuracy matrix is not triangular at row {t}")
-            for i in range(t + 1):
-                metrics_rows.append([r.method, r.seed, r.order_id, t, i,
-                                     repr(float(r.acc[t][i]))])
+            rows.extend([r.method, r.seed, r.order_id, t, i, repr(float(a))]
+                        for i, a in enumerate(acc_row))
+        metrics_rows.extend(rows)
+        # trajectory.csv: the same rows, one eval task's curve contiguous.
+        traj_rows.extend(sorted(rows, key=lambda row: (row[4], row[3])))
         trainable = r.trainable_per_task[-1] if r.trainable_per_task else 0
         summary_rows.append([r.method, r.seed,
                              repr(r.final_average_accuracy()),
                              repr(r.mean_forgetting()), trainable])
-        for i in range(n):
-            for t in range(i, n):
-                traj_rows.append([r.method, r.seed, r.order_id, t, i,
-                                  repr(float(r.acc[t][i]))])
     write_csv(
         os.path.join(out_dir, "metrics.csv"),
         ["method", "seed", "order_id", "after_task", "eval_task", "accuracy"],

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-GENERATORS = ("token_signature", "rotated_gaussian")
+# generator -> the backbone that reads its examples (token ids or features)
+GENERATORS = {"token_signature": "transformer", "rotated_gaussian": "mlp"}
 
 
 @dataclass

@@ -219,7 +219,7 @@ def test_run_stream_byte_identical_metrics():
     assert b1 == b2
 
 
-def test_run_stream_partial_flush_on_failure():
+def test_run_stream_partial_flush_on_failure(tmp_path):
     # Stage 1's tokens exceed the model vocabulary; the stage-0 results must
     # still reach metrics.csv before the error propagates.
     good = small_stream().tasks[0]
@@ -229,7 +229,7 @@ def test_run_stream_partial_flush_on_failure():
                    eval_per_class=4, generator="token_signature",
                    params=bad_params, seed=5)
     stream = TaskStream([good, bad])
-    out = "/tmp/amlora_partial"
+    out = str(tmp_path / "amlora_partial")
     if os.path.exists(os.path.join(out, "metrics.csv")):
         os.unlink(os.path.join(out, "metrics.csv"))
     with pytest.raises(ValueError, match="vocabulary"):

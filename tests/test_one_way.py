@@ -1,0 +1,114 @@
+"""One way to do each thing: ops go through the functional autodiff API,
+evaluation has one batch default, report rows are built once, and each verb
+accepts only the inputs it reads."""
+
+import csv
+import dataclasses
+import os
+
+import pytest
+
+from amlora.autodiff import Tensor
+from amlora.cli import parse_and_dispatch
+from amlora.harness import MetricsReport, TrainConfig, emit_report
+
+TINY = ["d=16", "heads=2", "layers=1", "seq_len=6", "vocab=64", "tasks=2",
+        "classes=2", "train_per_task=24", "eval_per_task=8", "r=2",
+        "alpha=4", "pretrain_epochs=0", "sig_tokens=2"]
+MLP = ["generator=rotated_gaussian", "backbone=mlp", "sites=ffn"]
+
+
+def _ov(extra=()):
+    return [a for kv in TINY + list(extra) for a in ("--override", kv)]
+
+
+def _read_rows(path):
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def test_tensor_has_no_operator_sugar():
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+                 "__rmul__", "__matmul__", "shape", "zero_grad"):
+        assert name not in Tensor.__dict__, name
+    with pytest.raises(TypeError):
+        Tensor([1.0]) + Tensor([2.0])
+
+
+def test_train_config_has_no_eval_batch():
+    assert "eval_batch" not in {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def test_trajectory_rows_are_metrics_rows_by_eval_task(tmp_path):
+    reports = [MetricsReport("seqft", s, "order1",
+                             acc=[[0.5], [0.25, 0.75], [0.125, 0.375, 1.0]],
+                             trainable_per_task=[3, 3, 3]) for s in (0, 1)]
+    emit_report(reports, str(tmp_path))
+    metrics = _read_rows(tmp_path / "metrics.csv")
+    traj = _read_rows(tmp_path / "trajectory.csv")
+    assert len(metrics) == 12
+    want = []
+    for seed in ("0", "1"):
+        rows = [r for r in metrics if r["seed"] == seed]
+        want += sorted(rows, key=lambda r: (int(r["eval_task"]),
+                                            int(r["after_task"])))
+    assert traj == want
+
+
+@pytest.mark.parametrize("verb", ["run", "inspect-gates"])
+def test_empty_seed_list_is_a_config_error(tmp_path, capsys, verb):
+    rc = parse_and_dispatch([verb, "--out-dir", str(tmp_path), "--seeds", ","]
+                            + _ov())
+    assert rc == 1
+    assert "seed list is empty" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "metrics.csv")
+
+
+def test_all_failing_grid_writes_nothing_and_says_so(tmp_path, capsys):
+    out = str(tmp_path / "o")
+    rc = parse_and_dispatch(["run", "--out-dir", out, "--methods",
+                             "seqft,amlora"] + _ov(["vocab=12"]))
+    assert rc == 2
+    text = capsys.readouterr().out
+    assert text.count("FAILED") == 2
+    assert "wrote" not in text
+    assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+@pytest.mark.parametrize("extra", [["generator=rotated_gaussian"],
+                                   ["backbone=mlp", "sites=ffn"]])
+def test_generator_backbone_mismatch_fails_each_cell(tmp_path, capsys, extra):
+    rc = parse_and_dispatch(["run", "--out-dir", str(tmp_path), "--methods",
+                             "seqft,amlora"] + _ov(extra))
+    assert rc == 2
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if "FAILED" in line]
+    assert len(failed) == 2
+    for line in failed:
+        assert "ConfigError" in line
+        assert "generator" in line and "backbone" in line
+
+
+def test_rotated_gaussian_runs_on_the_mlp(tmp_path):
+    out = str(tmp_path / "o")
+    rc = parse_and_dispatch(["run", "--out-dir", out, "--methods",
+                             "seqft,amlora"] + _ov(MLP))
+    assert rc == 0
+    rows = _read_rows(os.path.join(out, "metrics.csv"))
+    assert {r["method"] for r in rows} == {"seqft", "amlora"}
+    assert len(rows) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--jobs", "2"],
+    ["verify-ortho", "--seeds", "1"],
+    ["report", "--override", "lr=1"],
+    ["grad-check", "--jobs", "2"],
+    ["report", "--config", "x.cfg"],
+    ["verify-ortho", "--override", "lr=1"],
+    ["grad-check", "--seeds", "1"],
+    ["inspect-gates", "--jobs", "2"],
+])
+def test_verb_rejects_flags_it_does_not_read(tmp_path, argv):
+    assert parse_and_dispatch(argv + ["--out-dir", str(tmp_path)]) == 1
+    assert not os.listdir(tmp_path)
