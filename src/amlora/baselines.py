@@ -73,7 +73,7 @@ class Driver:
         self.spec = spec
 
     def attach(self, model, seed: int):
-        model.set_rule("base")
+        pass
 
     def start_stage(self, model, stage: int, seed: int) -> list:
         return []
@@ -87,7 +87,6 @@ class Driver:
 
 class SeqFTDriver(Driver):
     def attach(self, model, seed):
-        model.set_rule("base")
         model.set_base_trainable(True)
 
     def start_stage(self, model, stage, seed):
@@ -105,7 +104,6 @@ class MTLDriver(SeqFTDriver):
 class SinLoraDriver(Driver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
-        model.set_rule("single")
         seeds = _site_seeds(seed, model.sites)
         for name, site in model.sites.items():
             site.stack.begin_task(seeds[name])
@@ -122,7 +120,6 @@ class SinLoraDriver(Driver):
 class IncLoraDriver(Driver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
-        model.set_rule("sum")
 
     def start_stage(self, model, stage, seed):
         seeds = _site_seeds(seed, model.sites)
@@ -145,7 +142,6 @@ class AmLoraDriver(IncLoraDriver):
         for site in model.sites.values():
             site.selector = selector_init(
                 1, site.w0.data.shape[0], self.spec.variant, 0.0)
-        model.set_rule("gated")
 
     def start_stage(self, model, stage, seed):
         super().start_stage(model, stage, seed)

@@ -2,10 +2,12 @@
 
 Layout: a magic line ``AMLORA-CKPT 1`` followed by length-prefixed records,
 each ``u32 name_len | name utf-8 | u32 rank | u32 dims[rank] | f64-LE data``.
-Everything, including the model configuration, is stored as records (config
-scalars are rank-0), so one reader handles the whole file. Floats are stored
-exactly, which is what makes load(save(model)) reproduce eval logits
-bit-for-bit. Optimizer state is not persisted.
+The records are rank-0 ``config.*`` scalars, ``config.sites_mask``,
+``base.<param>``, ``site.<site>.adapter<k>.A``/``.B`` and
+``site.<site>.head<j>``. No forward rule is stored, since a loaded site runs
+what these attach; the rule-index record of older files is ignored. Floats
+are stored exactly, so load(save(model)) reproduces eval logits bit-for-bit.
+Optimizer state is not persisted.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .adapters import AdapterStack
 from .atomic import atomic_write
 from .errors import CheckpointFormatError
-from .model import ADAPTER_SITES, FORWARD_RULES, Backbone, ModelConfig, build_model
+from .model import ADAPTER_SITES, Backbone, ModelConfig, build_model
 from .selector import AttentionalSelector
 
 MAGIC_PREFIX = b"AMLORA-CKPT "
@@ -41,8 +43,6 @@ def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
     recs.append(("config.sites_mask", np.asarray(
         [1.0 if s in cfg.adapter_sites else 0.0 for s in ADAPTER_SITES])))
 
-    first = next(iter(model.sites.values()))
-    scalar("config.rule_index", FORWARD_RULES.index(first.rule))
     any_stack = next((s.stack for s in model.sites.values()
                       if s.stack is not None), None)
     if any_stack is not None:
@@ -115,7 +115,11 @@ def _read_records(path: str) -> dict[str, np.ndarray]:
             (name_len,) = struct.unpack("<I", head)
             if name_len > 4096:
                 raise CheckpointFormatError("corrupt record: name too long")
-            name = _read_exact(f, name_len).decode("utf-8", errors="strict")
+            try:
+                name = _read_exact(f, name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(
+                    f"corrupt record name {exc.object!r}: not UTF-8")
             (rank,) = struct.unpack("<I", _read_exact(f, 4))
             if rank > 8:
                 raise CheckpointFormatError(f"corrupt record {name}: rank {rank}")
@@ -136,10 +140,18 @@ def _require(records: dict, name: str) -> np.ndarray:
     return records[name]
 
 
+def _require_int(records: dict, name: str) -> int:
+    value = _require(records, name)
+    if not np.isfinite(value) or value != np.trunc(value):
+        raise CheckpointFormatError(
+            f"record {name!r} is {float(value)}, not an integer")
+    return int(value)
+
+
 def load_checkpoint(path: str) -> Backbone:
     """Rebuild a frozen, eval-ready model; no state kept on failure."""
     records = _read_records(path)
-    kwargs = {key: int(_require(records, f"config.{key}"))
+    kwargs = {key: _require_int(records, f"config.{key}")
               for key in _CONFIG_INTS}
     mask = _require(records, "config.sites_mask")
     if mask.shape != (len(ADAPTER_SITES),):
@@ -160,7 +172,6 @@ def load_checkpoint(path: str) -> Backbone:
         t.data = arr
         t.requires_grad = False
 
-    rule = FORWARD_RULES[int(_require(records, "config.rule_index"))]
     variant = "AR" if _require(records, "config.variant_is_ar") else "NR"
     for site_name in sorted(model.sites):
         site = model.sites[site_name]
@@ -169,7 +180,7 @@ def load_checkpoint(path: str) -> Backbone:
             and k.endswith(".A"))
         n = len(adapter_keys)
         if n:
-            rank = int(_require(records, "config.adapter_rank"))
+            rank = _require_int(records, "config.adapter_rank")
             alpha = float(_require(records, "config.adapter_alpha"))
             stack = AdapterStack(site.d_out, site.d_in, rank, alpha)
             for k in range(1, n + 1):
@@ -190,5 +201,4 @@ def load_checkpoint(path: str) -> Backbone:
                                              f"site.{site_name}.head{j}")
                 sel.heads[j].requires_grad = False
             site.selector = sel
-    model.set_rule(rule)
     return model

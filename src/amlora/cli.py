@@ -21,6 +21,7 @@ import csv
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -108,7 +109,7 @@ def _effective_config(args) -> dict:
 
 
 def _seeds(args, cfg) -> list[int]:
-    if not args.seeds:
+    if args.seeds is None:
         return [cfg["seed"]]
     items = _parse_csv_list(args.seeds, "seed")
     try:
@@ -163,9 +164,9 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir(args)
     seeds = _seeds(args, cfg)
     methods = (_parse_csv_list(args.methods, "method", METHODS)
-               if args.methods else [cfg["method"]])
+               if args.methods is not None else [cfg["method"]])
     orders = (_parse_csv_list(args.orders, "order", tuple(ORDERS))
-              if args.orders else [cfg["order"]])
+              if args.orders is not None else [cfg["order"]])
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     grid = [(m, o, s) for m in methods for o in orders for s in seeds]
@@ -305,12 +306,16 @@ def _cmd_grad_check(args) -> int:
 def _cmd_inspect_gates(args) -> int:
     cfg = _effective_config(args)
     out_dir = _out_dir(args)
-    seed = _seeds(args, cfg)[0]
+    seeds = _seeds(args, cfg)
+    if len(seeds) != 1:
+        raise ConfigError(f"--seeds takes one seed for inspect-gates "
+                          f"(gates.csv has no seed column), got {args.seeds!r}")
     os.makedirs(out_dir, exist_ok=True)
-    ckpt = os.path.join(out_dir, f"inspect_model_seed{seed}.bin")
-    _run_cell(cfg, "amlora", cfg["order"], seed, ckpt)
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "model.bin")
+        _run_cell(cfg, "amlora", cfg["order"], seeds[0], ckpt)
+        model = load_checkpoint(ckpt)
     stream = to_stream(cfg)
-    model = load_checkpoint(ckpt)
     for site in model.sites.values():
         site.gate_capture = {}
     rows = []

@@ -22,7 +22,6 @@ from .errors import ConfigError, DimensionError
 from .selector import AttentionalSelector, apply_gated
 
 ADAPTER_SITES = ("query", "key", "value", "output", "ffn")
-FORWARD_RULES = ("base", "single", "sum", "gated")
 
 
 @dataclass
@@ -71,8 +70,9 @@ class ModelConfig:
 class AdaptedLinear:
     """A frozen base projection plus an optional adapter stack and selector.
 
-    ``rule`` picks the forward: plain base, base + single shared adapter,
-    base + ungated adapter sum, or the gated mix.
+    What is attached picks the forward: no stack runs the plain base, a stack
+    with a selector runs the gated mix, and a stack alone adds the unweighted
+    sum of its task adapters to the base.
     """
 
     def __init__(self, name: str, w0: Tensor, bias: Tensor):
@@ -81,7 +81,6 @@ class AdaptedLinear:
         self.bias = bias
         self.stack: AdapterStack | None = None
         self.selector: AttentionalSelector | None = None
-        self.rule = "base"
         self.gate_capture: dict | None = None
 
     @property
@@ -102,19 +101,11 @@ class AdaptedLinear:
 
     def forward(self, x: Tensor) -> Tensor:
         base = ad.add(ad.matmul(x, ad.transpose(self.w0, (1, 0))), self.bias)
-        if self.stack is None or self.rule == "base":
+        if self.stack is None:
             return base
-        if self.rule == "gated":
-            if self.selector is None:
-                raise ConfigError(f"site {self.name}: gated rule needs a selector")
+        if self.selector is not None:
             return apply_gated(base, self.stack, self.selector, x,
                                capture=self.gate_capture)
-        # "single" and "sum" are both plain unweighted adapter sums; "single"
-        # additionally asserts there is exactly one adapter.
-        if self.rule == "single" and len(self.stack.task_adapters) != 1:
-            raise ConfigError(
-                f"site {self.name}: single-adapter rule with "
-                f"{len(self.stack.task_adapters)} adapters")
         h = base
         for adapter in self.stack.task_adapters:
             h = ad.add(h, adapter_apply(adapter, x))
@@ -149,12 +140,6 @@ class Backbone:
         for _, p in self.base_parameters():
             p.requires_grad = flag
             p.grad = None
-
-    def set_rule(self, rule: str):
-        if rule not in FORWARD_RULES:
-            raise ConfigError(f"unknown forward rule {rule!r}")
-        for site in self.sites.values():
-            site.rule = rule
 
     def forward(self, batch, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> Tensor:

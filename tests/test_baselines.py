@@ -86,7 +86,7 @@ def test_seqft_trains_everything():
     model = fresh_model()
     driver = make_driver(MethodSpec("seqft"))
     driver.attach(model, seed=0)
-    assert all(s.rule == "base" for s in model.sites.values())
+    assert all(s.stack is None for s in model.sites.values())
     params = driver.start_stage(model, 0, seed=1)
     base = [t for _, t in model.base_parameters()]
     assert params == base
@@ -97,7 +97,8 @@ def test_sinlora_single_persistent_adapter():
     model = fresh_model()
     driver = make_driver(MethodSpec("sinlora", rank=2, alpha=4.0))
     driver.attach(model, seed=0)
-    assert all(s.rule == "single" for s in model.sites.values())
+    assert all(s.stack is not None and s.selector is None
+               for s in model.sites.values())
     p0 = driver.start_stage(model, 0, seed=1)
     train_steps(model, driver, p0, seed=1)
     driver.end_stage(model, 0)
@@ -113,7 +114,8 @@ def test_inclora_freezes_previous_stages():
     model = fresh_model()
     driver = make_driver(MethodSpec("inclora", rank=2, alpha=4.0))
     driver.attach(model, seed=0)
-    assert all(s.rule == "sum" for s in model.sites.values())
+    assert all(s.stack is not None and s.selector is None
+               for s in model.sites.values())
     base_snap = snapshot([t for _, t in model.base_parameters()])
 
     p0 = driver.start_stage(model, 0, seed=1)
@@ -142,7 +144,8 @@ def test_amlora_selector_growth_and_variants():
         driver = make_driver(MethodSpec("amlora", rank=2, alpha=4.0,
                                         variant=variant, lam=1e-4))
         driver.attach(model, seed=0)
-        assert all(s.rule == "gated" for s in model.sites.values())
+        assert all(s.stack is not None and s.selector is not None
+                   for s in model.sites.values())
         for site in model.sites.values():
             assert len(site.selector) == 1
 

@@ -48,7 +48,8 @@ def test_round_trip_bit_exact_logits(tmp_path):
     got = loaded.forward(ids, mode="eval").data
     assert got.tobytes() == want.tobytes()
     assert loaded.config == model.config
-    assert all(s.rule == "gated" for s in loaded.sites.values())
+    assert all(s.stack is not None and s.selector is not None
+               for s in loaded.sites.values())
     # config scalars are stored as true rank-0 records
     records = _read_records(path)
     assert records["config.vocab_size"].shape == ()
@@ -191,4 +192,59 @@ def test_base_shape_mismatch(tmp_path):
         for name, arr in records.items():
             f.write(_record(name, arr))
     with pytest.raises(CheckpointFormatError, match="shape"):
+        load_checkpoint(broken)
+
+
+def _write_records(path, records):
+    with open(path, "wb") as f:
+        f.write(b"AMLORA-CKPT 1\n")
+        for name, arr in records.items():
+            f.write(_record(name, arr))
+
+
+@pytest.mark.parametrize("index", [0, 3, 99, -1])
+def test_retired_rule_index_record_is_ignored(tmp_path, index):
+    # Files from earlier builds carry config.rule_index after the sites
+    # mask; whatever it reads, what is attached decides the forward.
+    path = str(tmp_path / "model.ckpt")
+    model = gated_model()
+    want = model.forward(batch(), mode="eval").data
+    save_checkpoint(model, path)
+    records = {}
+    for name, arr in _read_records(path).items():
+        records[name] = arr
+        if name == "config.sites_mask":
+            records["config.rule_index"] = None  # where earlier builds put it
+    records["config.rule_index"] = np.asarray(float(index))
+    old = str(tmp_path / "old.ckpt")
+    _write_records(old, records)
+    got = load_checkpoint(old).forward(batch(), mode="eval").data
+    assert got.tobytes() == want.tobytes()
+
+
+def test_non_utf8_record_name_rejected(tmp_path):
+    path = str(tmp_path / "name.ckpt")
+    with open(path, "wb") as f:
+        f.write(b"AMLORA-CKPT 1\n" + struct.pack("<I", 2) + b"\xff\xfe"
+                + struct.pack("<I", 0) + struct.pack("<d", 1.0))
+    with pytest.raises(CheckpointFormatError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("config.vocab_size", float("nan")),
+    ("config.embed_dim", float("inf")),
+    ("config.embed_dim", float("-inf")),
+    ("config.adapter_rank", float("nan")),
+    ("config.adapter_rank", float("inf")),
+    ("config.num_heads", 2.5),
+])
+def test_noninteger_config_scalar_rejected(tmp_path, name, value):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(gated_model(), path)
+    records = _read_records(path)
+    records[name] = np.asarray(value)
+    broken = str(tmp_path / "broken.ckpt")
+    _write_records(broken, records)
+    with pytest.raises(CheckpointFormatError, match=name):
         load_checkpoint(broken)

@@ -170,6 +170,8 @@ def test_inspect_gates_rows_sum_to_one(tmp_path, capsys):
         sums[key] = sums.get(key, 0.0) + float(r["mean_gate"])
     assert len(sums) == 4
     assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
+    # the hand-off checkpoint lives in a removed temporary directory
+    assert os.listdir(out) == ["gates.csv"]
 
 
 def test_report_without_metrics_exit_1(tmp_path, capsys):

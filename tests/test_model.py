@@ -1,4 +1,4 @@
-"""Backbones: deterministic init, forward rules, adapter slot behavior."""
+"""Backbones: deterministic init, attachment-driven forwards, adapter slots."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from amlora import autodiff as ad
 from amlora.adapters import AdapterStack, merged_weight
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError
-from amlora.model import (ADAPTER_SITES, FORWARD_RULES, Backbone, ModelConfig,
-                          build_model, forward)
+from amlora.model import (ADAPTER_SITES, Backbone, ModelConfig, build_model,
+                          forward)
 from amlora.selector import selector_init
 
 SMALL = dict(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
@@ -112,31 +112,36 @@ def test_single_layer_attention_numpy_oracle():
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
-def attach_random_stacks(m, n_tasks=2, rank=2, alpha=4.0, spread=0.3, seed=0):
+def attach_random_stacks(m, n_tasks=2, rank=2, alpha=4.0, spread=0.3, seed=0,
+                         gated=True):
     rng = np.random.default_rng(seed)
     for name, site in m.sites.items():
         stack = AdapterStack(site.d_out, site.d_in, rank=rank, alpha=alpha)
         for t in range(n_tasks):
             a = stack.begin_task(seed=t)
             a.B.data = rng.normal(0.0, spread, size=a.B.data.shape)
-        site.attach(stack, selector_init(len(stack), site.d_out))
+        site.attach(stack, selector_init(len(stack), site.d_out)
+                    if gated else None)
 
 
 def test_base_rule_ignores_attached_stacks():
+    # A site without a stack runs the plain base even with its selector
+    # still attached, as the checkpoint loader leaves a 0-adapter site.
     m = small_model(seed=2)
     ids = token_batch(seed=3)
     plain = m.forward(ids).data
     attach_random_stacks(m)
-    m.set_rule("base")
+    for site in m.sites.values():
+        site.stack = None
     assert m.forward(ids).data.tobytes() == plain.tobytes()
 
 
 def test_sum_rule_matches_merged_weights():
-    # Route A: per-adapter low-rank sums in the live model. Route B: a twin
-    # model whose site weights are densely merged. Outputs must coincide.
+    # Route A: per-adapter low-rank sums in the live model (a stack without
+    # a selector). Route B: a twin model whose site weights are densely
+    # merged. Outputs must coincide.
     m = small_model(seed=5)
-    attach_random_stacks(m, n_tasks=3, seed=11)
-    m.set_rule("sum")
+    attach_random_stacks(m, n_tasks=3, seed=11, gated=False)
     ids = token_batch(seed=4)
     got = m.forward(ids).data
 
@@ -148,45 +153,17 @@ def test_sum_rule_matches_merged_weights():
 
 
 def test_fresh_adapters_do_not_change_forward():
-    # B starts at zero, so sum and gated rules must reproduce the base
-    # forward exactly on attachment.
-    for rule in ("sum", "gated"):
+    # B starts at zero, so the unweighted sum (no selector) and the gated
+    # mix must reproduce the base forward exactly on attachment.
+    for gated in (False, True):
         m = small_model(seed=6)
         ids = token_batch(seed=5)
         plain = m.forward(ids).data
         for site in m.sites.values():
             stack = AdapterStack(site.d_out, site.d_in, rank=2, alpha=4.0)
             stack.begin_task(seed=0)
-            site.attach(stack, selector_init(2, site.d_out))
-        m.set_rule(rule)
+            site.attach(stack, selector_init(2, site.d_out) if gated else None)
         assert np.array_equal(m.forward(ids).data, plain)
-
-
-def test_single_rule_arity_check():
-    m = small_model(seed=1)
-    attach_random_stacks(m, n_tasks=2)
-    m.set_rule("single")
-    with pytest.raises(ConfigError, match="single"):
-        m.forward(token_batch())
-
-
-def test_set_rule_validation():
-    m = small_model()
-    with pytest.raises(ConfigError):
-        m.set_rule("mixed")
-    for rule in FORWARD_RULES:
-        m.set_rule(rule)
-
-
-def test_gated_rule_requires_selector():
-    m = small_model(seed=1)
-    for site in m.sites.values():
-        stack = AdapterStack(site.d_out, site.d_in, rank=2)
-        stack.begin_task(seed=0)
-        site.attach(stack, None)
-    m.set_rule("gated")
-    with pytest.raises(ConfigError, match="selector"):
-        m.forward(token_batch())
 
 
 def test_dropout_modes():

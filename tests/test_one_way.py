@@ -1,6 +1,7 @@
 """One way to do each thing: ops go through the functional autodiff API,
-evaluation has one batch default, report rows are built once, and each verb
-accepts only the inputs it reads."""
+evaluation has one batch default, report rows are built once, what a method
+attaches decides each site's forward, and each verb accepts only the inputs
+it reads."""
 
 import csv
 import dataclasses
@@ -8,6 +9,8 @@ import os
 
 import pytest
 
+import amlora
+import amlora.cli as cli
 from amlora.autodiff import Tensor
 from amlora.cli import parse_and_dispatch
 from amlora.harness import MetricsReport, TrainConfig, emit_report
@@ -57,11 +60,48 @@ def test_trajectory_rows_are_metrics_rows_by_eval_task(tmp_path):
 
 @pytest.mark.parametrize("verb", ["run", "inspect-gates"])
 def test_empty_seed_list_is_a_config_error(tmp_path, capsys, verb):
-    rc = parse_and_dispatch([verb, "--out-dir", str(tmp_path), "--seeds", ","]
-                            + _ov())
+    for seeds in (",", ""):
+        rc = parse_and_dispatch([verb, "--out-dir", str(tmp_path), "--seeds",
+                                 seeds] + _ov())
+        assert rc == 1
+        assert "seed list is empty" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "metrics.csv")
+
+
+@pytest.mark.parametrize("flag,what", [("--methods", "method"),
+                                       ("--orders", "order")])
+def test_empty_method_or_order_list_is_a_config_error(tmp_path, capsys, flag,
+                                                      what):
+    for text in (",", ""):
+        rc = parse_and_dispatch(["run", "--out-dir", str(tmp_path), flag, text]
+                                + _ov())
+        assert rc == 1
+        assert f"{what} list is empty" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_inspect_gates_takes_one_seed(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *a: trained.append(a))
+    rc = parse_and_dispatch(["inspect-gates", "--out-dir", str(tmp_path),
+                             "--seeds", "0,1"] + _ov())
     assert rc == 1
-    assert "seed list is empty" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "metrics.csv")
+    assert "--seeds" in capsys.readouterr().err
+    assert trained == []
+    assert not os.path.exists(tmp_path / "gates.csv")
+
+
+def test_no_forward_rule_knob_in_the_package():
+    src = os.path.dirname(amlora.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            offenders += [(name, knob) for knob in
+                          ("set_rule", "FORWARD_RULES", "rule_index")
+                          if knob in text]
+    assert offenders == []
 
 
 def test_all_failing_grid_writes_nothing_and_says_so(tmp_path, capsys):
