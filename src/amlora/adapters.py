@@ -78,7 +78,11 @@ def new_adapter(d_out: int, d_in: int, rank: int = DEFAULT_RANK,
 
 
 def adapter_apply(adapter: LoraAdapter, x: Tensor) -> Tensor:
-    """Low-rank-first forward: (alpha/r) * ((x A^T) B^T), rows = examples."""
+    """Low-rank-first forward: (alpha/r) * ((x A^T) B^T), rows = examples.
+
+    The reference path; ``selector.apply_gated`` computes the same values
+    for a whole stack in one fused tape node.
+    """
     if adapter.is_zero:
         return Tensor(np.zeros(x.data.shape[:-1] + (adapter.d_out,)))
     if x.data.shape[-1] != adapter.A.data.shape[1]:

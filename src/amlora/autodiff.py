@@ -9,6 +9,7 @@ time (new adapters, new selector heads) need no graph surgery.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -91,8 +92,11 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # 0.0 + g into a fresh array laid out like t.data: the bytes that
+        # zero-filling and then adding gave, without the fill.
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -241,14 +245,163 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            if b.data.ndim == 2 and a.data.ndim > 2:
-                k = a.data.shape[-1]
-                n = g.shape[-1]
-                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            if b.data.ndim == 2:
+                _accum(b, _weight_grad(a.data, g))
             else:
                 _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make("matmul", (a, b), data, bw)
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ W`` with respect to a 2-d ``W``, given ``g``."""
+    if a.ndim > 2:
+        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return np.swapaxes(a, -1, -2) @ g
+
+
+# ---------------------------------------------------------------------------
+# fused ops
+#
+# Each fused op records one tape node in place of a chain of the ops above.
+# It runs the numpy expressions of that chain in the same order, on arrays
+# of the same shapes and memory layouts, and its backward accumulates into
+# each input's ``.grad`` once per contribution, in the order the chain's
+# nodes did. That keeps every forward value and every gradient bit-identical
+# to the chain. Pre-summing contributions, stacking products into one GEMM
+# or flattening a 3-d matmul to 2-d would change the rounding.
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b``; replaces ``add(matmul(x, transpose(w, (1, 0))), b)``."""
+    if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
+        raise DimensionError(
+            f"linear input {x.data.shape} does not fit weight {w.data.shape}")
+    data = x.data @ w.data.T + b.data
+
+    def bw(g):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accum(x, g @ w.data)
+        if w.requires_grad:
+            _accum(w, _weight_grad(x.data, g).T)
+
+    return _make("linear", (x, w, b), data, bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over ``(b, L, d)`` inputs.
+
+    Splits ``d`` into ``heads`` heads, softmaxes ``q k^T / sqrt(d/heads)``
+    over keys, and merges the per-head contexts back to ``(b, L, d)``.
+    Replaces the reshape/transpose split of q, k and v, the score matmul,
+    scale and softmax, and the context matmul and merge.
+    """
+    shape = q.data.shape
+    if (len(shape) != 3 or k.data.shape != shape or v.data.shape != shape
+            or shape[2] % heads != 0):
+        raise DimensionError(
+            f"attention needs equal (b, L, d) q, k, v with d divisible by "
+            f"{heads} heads, got {shape}, {k.data.shape}, {v.data.shape}")
+    b, L, d = shape
+    dh = d // heads
+    split = (b, L, heads, dh)
+    qh = np.transpose(q.data.reshape(split), (0, 2, 1, 3))
+    kh = np.transpose(k.data.reshape(split), (0, 2, 1, 3))
+    vh = np.transpose(v.data.reshape(split), (0, 2, 1, 3))
+    scale = 1.0 / math.sqrt(dh)
+    y = _softmax_rows((qh @ np.transpose(kh, (0, 1, 3, 2))) * scale)
+    data = np.transpose(y @ vh, (0, 2, 1, 3)).reshape(shape)
+
+    def bw(g):
+        gc = np.ascontiguousarray(np.transpose(g.reshape(split), (0, 2, 1, 3)))
+        scores = q.requires_grad or k.requires_grad
+        if scores:
+            gy = gc @ np.swapaxes(vh, -1, -2)
+        if v.requires_grad:
+            gv = np.swapaxes(y, -1, -2) @ gc
+            _accum(v, np.transpose(gv, (0, 2, 1, 3)).reshape(shape))
+        if scores:
+            gs = _softmax_grad(gy, y) * scale
+            if k.requires_grad:
+                gk = np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2))
+                _accum(k, np.transpose(gk, (0, 2, 1, 3)).reshape(shape))
+            if q.requires_grad:
+                gq = gs @ kh
+                _accum(q, np.transpose(gq, (0, 2, 1, 3)).reshape(shape))
+
+    return _make("attention", (q, k, v), data, bw)
+
+
+def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
+                 heads: Sequence[Tensor] | None = None):
+    """``base`` plus the weighted outputs of n low-rank adapters, one node.
+
+    ``pairs`` holds each adapter's ``(A, B, scale)``; adapter i contributes
+    ``w_i * ((x @ A_i.T) @ B_i.T) * scale_i`` and the contributions are added
+    to ``base`` in order. With ``heads=None`` every weight is 1. Otherwise
+    ``heads`` holds n + 1 ``(d_out, 1)`` score columns, head 0 scoring the
+    structural zero adapter whose output is all zeros, and the weights are
+    the softmax over adapters of each output times its head.
+
+    Returns the output tensor and the softmax weights ``(..., n + 1)``
+    (``None`` without heads). Replaces the per-adapter low-rank chains, the
+    per-head score matmuls, concat and softmax, and the index/mul/add mix.
+    """
+    xd = x.data
+    lows = [xd @ A.data.T for A, _, _ in pairs]
+    outs = [(low @ B.data.T) * scale for low, (_, B, scale) in zip(lows, pairs)]
+    # adapter i's output needs a gradient when x or its pair does
+    out_req = [x.requires_grad or A.requires_grad or B.requires_grad
+               for A, B, _ in pairs]
+    y = None
+    if heads is not None:
+        zero = np.zeros(xd.shape[:-1] + (heads[0].data.shape[0],))
+        logits = [zero @ heads[0].data]
+        logits += [o @ h.data for o, h in zip(outs, heads[1:])]
+        y = _softmax_rows(np.concatenate(logits, axis=-1))
+    gated = bool(pairs) and y is not None and (
+        any(out_req) or any(h.requires_grad for h in heads))
+    data = base.data
+    for i, o in enumerate(outs, start=1):
+        data = data + (o if y is None else y[..., i:i + 1] * o)
+
+    def bw(g):
+        if base.requires_grad:
+            _accum(base, _unbroadcast(g, base.data.shape))
+        # gradient into each adapter's output, before its scale
+        gouts = [None if not req else g if y is None else g * y[..., i:i + 1]
+                 for i, req in enumerate(out_req, start=1)]
+        if gated:
+            gw = np.zeros_like(y)
+            for i, o in enumerate(outs, start=1):
+                gw[..., i:i + 1] = _unbroadcast(g * o, gw[..., i:i + 1].shape)
+            gl = _softmax_grad(gw, y)
+            for j in range(len(pairs), -1, -1):
+                glj = np.ascontiguousarray(gl[..., j:j + 1])
+                h = heads[j]
+                if j and out_req[j - 1]:
+                    gouts[j - 1] = gouts[j - 1] + \
+                        glj @ np.swapaxes(h.data, -1, -2)
+                if h.requires_grad:
+                    _accum(h, _weight_grad(outs[j - 1] if j else zero, glj))
+        for i in range(len(pairs) - 1, -1, -1):
+            if not out_req[i]:
+                continue
+            A, B, scale = pairs[i]
+            go = gouts[i] * scale
+            if x.requires_grad or A.requires_grad:
+                glow = go @ B.data
+            if B.requires_grad:
+                _accum(B, _weight_grad(lows[i], go).T)
+            if x.requires_grad:
+                _accum(x, glow @ A.data)
+            if A.requires_grad:
+                _accum(A, _weight_grad(xd, glow).T)
+
+    inputs = [base, x, *(t for A, B, _ in pairs for t in (A, B)), *(heads or ())]
+    return _make("adapter_bank", inputs, data, bw), y
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +412,23 @@ def softmax(t: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis."""
     if t.data.ndim == 0 or t.data.shape[-1] == 0:
         raise DimensionError("softmax needs a non-empty last axis")
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(t.data)
 
     def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(t, (g - dot) * y)
+        _accum(t, _softmax_grad(g, y))
 
     return _make("softmax", (t,), y, bw)
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return (g - dot) * y
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -304,6 +465,25 @@ def l1_norm(t: Tensor) -> Tensor:
         _accum(t, np.sign(t.data) * float(g))
 
     return _make("l1", (t,), data, bw)
+
+
+def l1_sum(ts: Sequence[Tensor], scale: float) -> Tensor:
+    """``scale`` times the summed L1 norms of ``ts``, as one node.
+
+    Replaces ``mul(add(...add(l1_norm(t0), l1_norm(t1))...), scale)``.
+    """
+    total = np.abs(ts[0].data).sum()
+    for t in ts[1:]:
+        total = total + np.abs(t.data).sum()
+    data = np.asarray(total * scale)
+
+    def bw(g):
+        gt = float(g * scale)
+        for t in reversed(ts):
+            if t.requires_grad:
+                _accum(t, np.sign(t.data) * gt)
+
+    return _make("l1", tuple(ts), data, bw)
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

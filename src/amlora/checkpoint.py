@@ -5,9 +5,13 @@ each ``u32 name_len | name utf-8 | u32 rank | u32 dims[rank] | f64-LE data``.
 The records are rank-0 ``config.*`` scalars, ``config.sites_mask``,
 ``base.<param>``, ``site.<site>.adapter<k>.A``/``.B`` and
 ``site.<site>.head<j>``. No forward rule is stored, since a loaded site runs
-what these attach; the rule-index record of older files is ignored. Floats
-are stored exactly, so load(save(model)) reproduces eval logits bit-for-bit.
-Optimizer state is not persisted.
+what these attach; the rule-index record of older files is ignored. The
+loader checks each record it reads against the rebuilt model: rank 0 for a
+config scalar, ``(rank, d_in)`` for ``A``, ``(d_out, rank)`` for ``B`` and
+``(d_out, 1)`` for a head; any other shape raises ``CheckpointFormatError``
+naming the record and both shapes. Floats are stored exactly, so
+load(save(model)) reproduces eval logits bit-for-bit. Optimizer state is
+not persisted.
 """
 
 from __future__ import annotations
@@ -140,11 +144,24 @@ def _require(records: dict, name: str) -> np.ndarray:
     return records[name]
 
 
+def _require_shape(records: dict, name: str,
+                   shape: tuple[int, ...]) -> np.ndarray:
+    arr = _require(records, name)
+    if arr.shape != shape:
+        raise CheckpointFormatError(
+            f"record {name!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _require_scalar(records: dict, name: str) -> float:
+    return float(_require_shape(records, name, ()))
+
+
 def _require_int(records: dict, name: str) -> int:
-    value = _require(records, name)
+    value = _require_scalar(records, name)
     if not np.isfinite(value) or value != np.trunc(value):
         raise CheckpointFormatError(
-            f"record {name!r} is {float(value)}, not an integer")
+            f"record {name!r} is {value}, not an integer")
     return int(value)
 
 
@@ -157,22 +174,17 @@ def load_checkpoint(path: str) -> Backbone:
     if mask.shape != (len(ADAPTER_SITES),):
         raise CheckpointFormatError("corrupt config.sites_mask record")
     cfg = ModelConfig(
-        backbone="mlp" if _require(records, "config.backbone_is_mlp") else
-        "transformer",
-        dropout_rate=float(_require(records, "config.dropout_rate")),
+        backbone="mlp" if _require_scalar(records, "config.backbone_is_mlp")
+        else "transformer",
+        dropout_rate=_require_scalar(records, "config.dropout_rate"),
         adapter_sites=tuple(s for s, m in zip(ADAPTER_SITES, mask) if m),
         **kwargs)
     model = build_model(cfg, seed=0)
     for name, t in model.base_parameters():
-        arr = _require(records, f"base.{name}")
-        if arr.shape != t.data.shape:
-            raise CheckpointFormatError(
-                f"record base.{name} has shape {arr.shape}, "
-                f"model expects {t.data.shape}")
-        t.data = arr
+        t.data = _require_shape(records, f"base.{name}", t.data.shape)
         t.requires_grad = False
 
-    variant = "AR" if _require(records, "config.variant_is_ar") else "NR"
+    variant = "AR" if _require_scalar(records, "config.variant_is_ar") else "NR"
     for site_name in sorted(model.sites):
         site = model.sites[site_name]
         adapter_keys = sorted(
@@ -181,12 +193,15 @@ def load_checkpoint(path: str) -> Backbone:
         n = len(adapter_keys)
         if n:
             rank = _require_int(records, "config.adapter_rank")
-            alpha = float(_require(records, "config.adapter_alpha"))
+            alpha = _require_scalar(records, "config.adapter_alpha")
             stack = AdapterStack(site.d_out, site.d_in, rank, alpha)
             for k in range(1, n + 1):
                 a = stack.begin_task(seed=0)
-                a.A.data = _require(records, f"site.{site_name}.adapter{k}.A")
-                a.B.data = _require(records, f"site.{site_name}.adapter{k}.B")
+                prefix = f"site.{site_name}.adapter{k}"
+                a.A.data = _require_shape(records, f"{prefix}.A",
+                                          (rank, site.d_in))
+                a.B.data = _require_shape(records, f"{prefix}.B",
+                                          (site.d_out, rank))
                 a.freeze()
             site.stack = stack
         head_keys = [k for k in records
@@ -197,8 +212,8 @@ def load_checkpoint(path: str) -> Backbone:
                     f"site {site_name}: {n} adapters but {len(head_keys)} heads")
             sel = AttentionalSelector(n + 1, site.d_out, variant)
             for j in range(n + 1):
-                sel.heads[j].data = _require(records,
-                                             f"site.{site_name}.head{j}")
+                sel.heads[j].data = _require_shape(
+                    records, f"site.{site_name}.head{j}", (site.d_out, 1))
                 sel.heads[j].requires_grad = False
             site.selector = sel
     return model

@@ -10,6 +10,7 @@ serialization, so two runs with the same digest ran the same configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from .baselines import METHODS, MethodSpec
 from .errors import ConfigError
@@ -22,9 +23,12 @@ from .tasks import GENERATORS, ORDERS, TaskStream, build_stream
 def _number(kind, what):
     def conv(key, v):
         try:
-            return kind(v)
+            x = kind(v)
         except ValueError:
             raise ConfigError(f"{key} expects {what}, got {v!r}")
+        if not math.isfinite(x):
+            raise ConfigError(f"{key} expects a finite number, got {v!r}")
+        return x
     return conv
 
 
@@ -44,6 +48,8 @@ def _lambda(key, v):
         parts = [float(p) for p in str(v).split(",")]
     except ValueError:
         raise ConfigError(f"lambda expects a number or comma list, got {v!r}")
+    if not all(math.isfinite(p) for p in parts):
+        raise ConfigError(f"lambda values must be finite, got {v!r}")
     if any(p < 0 for p in parts):
         raise ConfigError("lambda values must be >= 0")
     return parts[0] if len(parts) == 1 else parts

@@ -10,13 +10,12 @@ fully determined by (config, seed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import AdapterStack, adapter_apply
+from .adapters import AdapterStack
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .selector import AttentionalSelector, apply_gated
@@ -70,9 +69,10 @@ class ModelConfig:
 class AdaptedLinear:
     """A frozen base projection plus an optional adapter stack and selector.
 
-    What is attached picks the forward: no stack runs the plain base, a stack
-    with a selector runs the gated mix, and a stack alone adds the unweighted
-    sum of its task adapters to the base.
+    What is attached picks the forward: no stack runs the plain base (one
+    ``linear`` node); a stack adds its task adapters to the base through
+    ``apply_gated`` (one ``adapter_bank`` node), gate-weighted when a
+    selector is attached and unweighted when not.
     """
 
     def __init__(self, name: str, w0: Tensor, bias: Tensor):
@@ -100,16 +100,11 @@ class AdaptedLinear:
         self.selector = selector
 
     def forward(self, x: Tensor) -> Tensor:
-        base = ad.add(ad.matmul(x, ad.transpose(self.w0, (1, 0))), self.bias)
+        base = ad.linear(x, self.w0, self.bias)
         if self.stack is None:
             return base
-        if self.selector is not None:
-            return apply_gated(base, self.stack, self.selector, x,
-                               capture=self.gate_capture)
-        h = base
-        for adapter in self.stack.task_adapters:
-            h = ad.add(h, adapter_apply(adapter, x))
-        return h
+        return apply_gated(base, self.stack, self.selector, x,
+                           capture=self.gate_capture)
 
 
 @dataclass
@@ -160,33 +155,25 @@ class Backbone:
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError(
                 f"token id out of vocabulary [0, {self.config.vocab_size})")
-        b, L = ids.shape
-        d, nh, dh = self.config.embed_dim, self.config.num_heads, self.config.head_dim
         x = ad.embedding(self.embedding, ids)
         if drop > 0.0:
             x = ad.dropout(x, drop, rng)
         for layer in self.layers:
-            q = self._split_heads(layer["query"].forward(x), b, L, nh, dh)
-            k = self._split_heads(layer["key"].forward(x), b, L, nh, dh)
-            v = self._split_heads(layer["value"].forward(x), b, L, nh, dh)
-            scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                            1.0 / math.sqrt(dh))
-            attn = ad.softmax(scores)
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                             (b, L, d))
+            ctx = ad.attention(layer["query"].forward(x),
+                               layer["key"].forward(x),
+                               layer["value"].forward(x),
+                               self.config.num_heads)
             out = layer["output"].forward(ctx)
             if drop > 0.0:
                 out = ad.dropout(out, drop, rng)
             x = ad.add(x, out)
             h1 = ad.relu(layer["ffn"].forward(x))
-            h2 = ad.add(ad.matmul(h1, ad.transpose(layer["ffn2.w"], (1, 0))),
-                        layer["ffn2.b"])
+            h2 = ad.linear(h1, layer["ffn2.w"], layer["ffn2.b"])
             if drop > 0.0:
                 h2 = ad.dropout(h2, drop, rng)
             x = ad.add(x, h2)
         pooled = ad.mean_axis(x, axis=1)
-        return ad.add(ad.matmul(pooled, ad.transpose(self.classifier_w, (1, 0))),
-                      self.classifier_b)
+        return ad.linear(pooled, self.classifier_w, self.classifier_b)
 
     def _forward_features(self, batch, drop, rng) -> Tensor:
         x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
@@ -199,12 +186,7 @@ class Backbone:
             if drop > 0.0:
                 h = ad.dropout(h, drop, rng)
             x = ad.add(x, h)
-        return ad.add(ad.matmul(x, ad.transpose(self.classifier_w, (1, 0))),
-                      self.classifier_b)
-
-    @staticmethod
-    def _split_heads(t: Tensor, b, L, nh, dh) -> Tensor:
-        return ad.transpose(ad.reshape(t, (b, L, nh, dh)), (0, 2, 1, 3))
+        return ad.linear(x, self.classifier_w, self.classifier_b)
 
 
 def build_model(config: ModelConfig, seed: int) -> Backbone:

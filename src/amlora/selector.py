@@ -5,6 +5,9 @@ Per example (and per position, in sequence models) each adapter output is
 scored by its head, the scores are softmaxed across adapters, and the gated
 sum is added to the base projection. Heads start at zero, so gates start
 exactly uniform. An L1 penalty on the heads makes the gate vector sparse.
+``apply_gated`` and ``sparsity_loss`` are the training path, one fused tape
+node per site each; ``gate`` with ``AdapterStack.outputs`` is the per-op
+reference path they are tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import AdapterStack
 from .autodiff import Tensor
-from .errors import ConfigError, StateError
+from .errors import ConfigError, DimensionError, StateError
 
 VARIANTS = ("NR", "AR")
 
@@ -59,35 +62,49 @@ def selector_init(stack_len: int, d_out: int, variant: str = "AR",
     return AttentionalSelector(stack_len, d_out, variant, lam)
 
 
-def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor:
-    """Softmax across adapters of per-output head scores; shape (..., n+1)."""
-    if len(adapter_outputs) != len(selector.heads):
+def _require_fresh(selector: AttentionalSelector, n_outputs: int):
+    if len(selector.heads) != n_outputs:
         raise StateError(
             f"stale selector: {len(selector.heads)} heads for "
-            f"{len(adapter_outputs)} adapter outputs")
+            f"{n_outputs} adapter outputs")
+
+
+def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor:
+    """Softmax across adapters of per-output head scores; shape (..., n+1)."""
+    _require_fresh(selector, len(adapter_outputs))
     logits = [ad.matmul(out, head) for out, head in
               zip(adapter_outputs, selector.heads)]
     return ad.softmax(ad.concat_last(logits))
 
 
 def apply_gated(base_out: Tensor, stack: AdapterStack,
-                selector: AttentionalSelector, x: Tensor,
+                selector: AttentionalSelector | None, x: Tensor,
                 capture: dict | None = None) -> Tensor:
-    """Add gate-weighted adapter outputs to an already-computed base projection.
+    """Add the stack's task-adapter outputs to a computed base projection.
 
-    When ``capture`` is a dict, the raw gate values are stored under
+    With a selector each output is weighted by its gate, the softmax across
+    adapters of the output times its head (the zero adapter scores 0 and
+    adds nothing); without one every weight is 1, the unweighted sum of
+    sinlora and inclora. Records one ``adapter_bank`` tape node, whose values
+    and gradients equal ``stack.outputs`` + ``gate`` + an
+    ``index_last``/``mul``/``add`` chain bit for bit. When ``capture`` is a
+    dict and a selector is given, the gate values are stored under
     ``"gates"`` for inspection; gradients are unaffected.
     """
-    outputs = stack.outputs(x)
-    gates = gate(selector, outputs)
-    if capture is not None:
-        capture["gates"] = gates.data
-    h = base_out
-    for i, out in enumerate(outputs):
-        if stack.adapters[i].is_zero:
-            continue  # exact zero contribution, skip the multiply
-        h = ad.add(h, ad.mul(ad.index_last(gates, i), out))
-    return h
+    adapters = stack.task_adapters
+    for a in adapters:
+        if x.data.shape[-1] != a.A.data.shape[1]:
+            raise DimensionError(
+                f"adapter input dim {x.data.shape[-1]} != d_in "
+                f"{a.A.data.shape[1]}")
+    if selector is not None:
+        _require_fresh(selector, len(stack))
+    out, gates = ad.adapter_bank(
+        base_out, x, [(a.A, a.B, a.scale) for a in adapters],
+        None if selector is None else selector.heads)
+    if capture is not None and gates is not None:
+        capture["gates"] = gates
+    return out
 
 
 def mixed_forward(w0: Tensor, stack: AdapterStack,
@@ -98,13 +115,13 @@ def mixed_forward(w0: Tensor, stack: AdapterStack,
 
 
 def sparsity_loss(selector: AttentionalSelector) -> Tensor:
-    """lambda * sum of L1 norms of all heads (zero adapter's head included)."""
+    """lambda * sum of L1 norms of all heads (zero adapter's head included).
+
+    One ``l1`` tape node per selector; no node when lambda is 0.
+    """
     if selector.lam == 0.0:
         return Tensor(np.asarray(0.0))
-    total = ad.l1_norm(selector.heads[0])
-    for h in selector.heads[1:]:
-        total = ad.add(total, ad.l1_norm(h))
-    return ad.mul(total, selector.lam)
+    return ad.l1_sum(selector.heads, selector.lam)
 
 
 def trainable_set(selector: AttentionalSelector, stack: AdapterStack,

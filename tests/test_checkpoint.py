@@ -248,3 +248,44 @@ def test_noninteger_config_scalar_rejected(tmp_path, name, value):
     _write_records(broken, records)
     with pytest.raises(CheckpointFormatError, match=name):
         load_checkpoint(broken)
+
+
+
+def _rewrite(tmp_path, name, change):
+    """A saved gated model whose record ``name`` is ``change(old value)``."""
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(gated_model(), path)
+    records = _read_records(path)
+    records[name] = change(records[name])
+    broken = str(tmp_path / "broken.ckpt")
+    _write_records(broken, records)
+    return broken
+
+
+@pytest.mark.parametrize("name", [
+    "config.vocab_size", "config.adapter_rank", "config.dropout_rate",
+    "config.adapter_alpha", "config.backbone_is_mlp", "config.variant_is_ar",
+])
+def test_config_scalar_of_rank_one_rejected(tmp_path, name):
+    broken = _rewrite(tmp_path, name, lambda old: np.full(2, old))
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"{name}.*\(2,\), expected \(\)"):
+        load_checkpoint(broken)
+
+
+# CFG: d = 8, rank 2, so A is (2, 8), B is (8, 2) and a head is (8, 1)
+@pytest.mark.parametrize("name,shape,want", [
+    ("site.layers.0.query.adapter1.A", (2, 3), "(2, 8)"),
+    ("site.layers.0.query.adapter2.A", (8, 2), "(2, 8)"),
+    ("site.layers.0.value.adapter1.B", (2, 8), "(8, 2)"),
+    ("site.layers.0.value.adapter2.B", (8, 3), "(8, 2)"),
+    ("site.layers.0.query.head0", (8,), "(8, 1)"),
+    ("site.layers.0.value.head2", (1, 8), "(8, 1)"),
+])
+def test_adapter_and_head_shapes_checked_at_load(tmp_path, name, shape,
+                                                 want):
+    broken = _rewrite(tmp_path, name, lambda old: np.ones(shape))
+    with pytest.raises(CheckpointFormatError) as exc:
+        load_checkpoint(broken)
+    msg = str(exc.value)
+    assert name in msg and str(shape) in msg and want in msg

@@ -1,5 +1,7 @@
 """Config parsing, overrides, canonical formatting, digests, bridges."""
 
+import os
+
 import pytest
 
 from amlora.configfile import (apply_overrides, config_digest, default_config,
@@ -115,3 +117,38 @@ def test_bridges_build_consistent_objects():
     assert stream.order_id == cfg["order"]
     stream2 = to_stream(cfg, seed=5)
     assert [t.seed for t in stream2.tasks] != [t.seed for t in stream.tasks]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("alpha", "nan"),
+    ("pretrain_lr", "inf"), ("dropout", "nan"), ("p_sig", "-inf"),
+    ("lambda", "nan"), ("lambda", "inf"),
+])
+def test_non_finite_float_rejected_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=rf"{key}.*finite"):
+        apply_overrides(default_config(), [f"{key}={value}"])
+
+
+def test_non_finite_float_in_config_file_names_line_and_key():
+    with pytest.raises(ConfigError, match=r"line 3: alpha .*finite.*'inf'"):
+        parse_config("seed=1\nlr=0.1\nalpha=inf\n")
+
+
+def test_non_finite_lambda_schedule_element_rejected():
+    with pytest.raises(ConfigError, match=r"lambda .*finite.*'0.1,nan,0.2'"):
+        parse_config("lambda=0.1,nan,0.2\n")
+
+
+def test_non_finite_override_exits_1_before_any_cell(tmp_path, capsys):
+    from amlora.cli import parse_and_dispatch
+    out = str(tmp_path / "out")
+    rc = parse_and_dispatch(["run", "--out-dir", out, "--override", "lr=nan"])
+    assert rc == 1
+    assert "lr" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "metrics.csv"))
+
+
+def test_default_config_digest_is_pinned():
+    # finite configs parse as before, so run directories keep their digest
+    assert config_digest(default_config()) == (
+        "e287f1dd9de96d6f4183d789d60d2bb913ae74b273eb467150ed299f9485ab5f")
