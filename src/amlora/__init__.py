@@ -18,7 +18,7 @@ from .errors import (CheckpointFormatError, ConfigError, DimensionError,
                      GradientError, StateError)
 from .harness import (MetricsReport, TrainConfig, emit_report, evaluate,
                       run_stream, train_task)
-from .model import ModelConfig, build_model, forward
+from .model import ModelConfig, build_model
 from .ortho import (counterexample_1d, counterexample_2d, counterexample_nd,
                     random_orthogonality_study)
 from .selector import (AttentionalSelector, gate, mixed_forward, selector_init,
@@ -35,7 +35,7 @@ __all__ = [
     "adapter_apply", "apply_overrides", "backward", "build_model",
     "build_stream", "config_digest", "counterexample_1d", "counterexample_2d",
     "counterexample_nd", "default_config", "emit_report", "evaluate",
-    "finite_diff_check", "forward", "gate", "generate_task",
+    "finite_diff_check", "gate", "generate_task",
     "load_checkpoint", "load_config", "make_driver", "merged_weight",
     "mixed_forward", "new_adapter", "no_grad", "parse_config",
     "random_orthogonality_study", "run_stream", "save_checkpoint",

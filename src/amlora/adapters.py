@@ -18,16 +18,16 @@ DEFAULT_ALPHA = 32.0
 
 
 class LoraAdapter:
-    """One task's low-rank pair. ``is_zero`` marks the structural zero adapter."""
+    """One task's low-rank pair; its task is its position in the stack.
+    ``is_zero`` marks the structural zero adapter at position 0."""
 
     def __init__(self, A: Tensor | None, B: Tensor | None, rank: int,
-                 alpha: float, task_id: int, is_zero: bool = False,
+                 alpha: float, is_zero: bool = False,
                  d_out: int | None = None):
         self.A = A
         self.B = B
         self.rank = rank
         self.alpha = float(alpha)
-        self.task_id = task_id
         self.is_zero = is_zero
         self.d_out = d_out if d_out is not None else (
             B.data.shape[0] if B is not None else None)
@@ -63,8 +63,7 @@ class LoraAdapter:
 
 
 def new_adapter(d_out: int, d_in: int, rank: int = DEFAULT_RANK,
-                alpha: float = DEFAULT_ALPHA, task_id: int = 0,
-                seed: int = 0) -> LoraAdapter:
+                alpha: float = DEFAULT_ALPHA, seed: int = 0) -> LoraAdapter:
     """A ~ Gaussian(0, 0.02), B = 0, so the update starts exactly at zero."""
     if rank < 1:
         raise ConfigError("adapter rank must be >= 1")
@@ -74,7 +73,7 @@ def new_adapter(d_out: int, d_in: int, rank: int = DEFAULT_RANK,
     rng = np.random.default_rng(seed)
     A = Tensor(rng.normal(0.0, 0.02, size=(rank, d_in)), requires_grad=True)
     B = Tensor(np.zeros((d_out, rank)), requires_grad=True)
-    return LoraAdapter(A, B, rank, alpha, task_id, d_out=d_out)
+    return LoraAdapter(A, B, rank, alpha, d_out=d_out)
 
 
 def adapter_apply(adapter: LoraAdapter, x: Tensor) -> Tensor:
@@ -103,9 +102,7 @@ class AdapterStack:
         self.rank = rank
         self.alpha = float(alpha)
         self.adapters: list[LoraAdapter] = [
-            LoraAdapter(None, None, rank, alpha, task_id=0, is_zero=True,
-                        d_out=d_out)]
-        self.current_task = 0
+            LoraAdapter(None, None, rank, alpha, is_zero=True, d_out=d_out)]
         self.training_active = False
 
     def __len__(self) -> int:
@@ -121,9 +118,8 @@ class AdapterStack:
             raise StateError("begin_task called while a task is mid-training")
         for a in self.task_adapters:
             a.freeze()
-        self.current_task += 1
         adapter = new_adapter(self.d_out, self.d_in, self.rank, self.alpha,
-                              task_id=self.current_task, seed=seed)
+                              seed=seed)
         self.adapters.append(adapter)
         return adapter
 

@@ -16,7 +16,8 @@ train during a given stage, and what extra loss terms apply. Methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,12 @@ from .errors import ConfigError
 from .selector import selector_init, sparsity_loss, trainable_set
 
 METHODS = ("seqft", "sinlora", "inclora", "amlora", "pertaskft", "mtl")
+
+
+def check_lambda(values, shown) -> None:
+    """The one range rule for the L1 weight: every value finite and >= 0."""
+    if not all(math.isfinite(x) and x >= 0 for x in values):
+        raise ConfigError(f"lambda must be finite and >= 0, got {shown!r}")
 
 
 @dataclass
@@ -41,13 +48,11 @@ class MethodSpec:
         if self.name not in METHODS:
             raise ConfigError(f"unknown method {self.name!r} "
                               f"(choose from {METHODS})")
+        check_lambda(np.asarray(self.lam, dtype=float).ravel(), self.lam)
 
     def lam_at(self, stage: int) -> float:
-        if isinstance(self.lam, (list, tuple)):
-            if not self.lam:
-                return 0.0
-            return float(self.lam[min(stage, len(self.lam) - 1)])
-        return float(self.lam)
+        lams = np.asarray(self.lam, dtype=float).ravel()
+        return float(lams[min(stage, len(lams) - 1)]) if len(lams) else 0.0
 
 
 def _site_seeds(seed: int, site_names) -> dict:
@@ -137,19 +142,20 @@ class IncLoraDriver(Driver):
 
 
 class AmLoraDriver(IncLoraDriver):
+    lam = 0.0  # the current stage's L1 weight, spec.lam_at(stage)
+
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
         for site in model.sites.values():
             site.selector = selector_init(
-                1, site.w0.data.shape[0], self.spec.variant, 0.0)
+                1, site.w0.data.shape[0], self.spec.variant)
 
     def start_stage(self, model, stage, seed):
         super().start_stage(model, stage, seed)
-        lam = self.spec.lam_at(stage)
+        self.lam = self.spec.lam_at(stage)
         params = []
         for site in model.sites.values():
             site.selector.extend_for_task(site.stack)
-            site.selector.lam = lam
             trainable = trainable_set(site.selector, site.stack)
             for head in site.selector.heads:
                 head.requires_grad = head in trainable
@@ -157,11 +163,11 @@ class AmLoraDriver(IncLoraDriver):
         return params
 
     def extra_loss(self, model):
+        if self.lam == 0.0:
+            return None
         total = None
         for site in model.sites.values():
-            if site.selector is None or site.selector.lam == 0.0:
-                continue
-            term = sparsity_loss(site.selector)
+            term = sparsity_loss(site.selector, self.lam)
             total = term if total is None else ad.add(total, term)
         return total
 

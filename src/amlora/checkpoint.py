@@ -3,34 +3,35 @@
 Layout: a magic line ``AMLORA-CKPT 1`` followed by length-prefixed records,
 each ``u32 name_len | name utf-8 | u32 rank | u32 dims[rank] | f64-LE data``.
 The records are rank-0 ``config.*`` scalars, ``config.sites_mask``,
-``base.<param>``, ``site.<site>.adapter<k>.A``/``.B`` and
-``site.<site>.head<j>``. No forward rule is stored, since a loaded site runs
-what these attach; the rule-index record of older files is ignored. The
-loader checks each record it reads against the rebuilt model: rank 0 for a
-config scalar, ``(rank, d_in)`` for ``A``, ``(d_out, rank)`` for ``B`` and
-``(d_out, 1)`` for a head; any other shape raises ``CheckpointFormatError``
-naming the record and both shapes. Floats are stored exactly, so
-load(save(model)) reproduces eval logits bit-for-bit. Optimizer state is
-not persisted.
+``base.<param>``, ``site.<site>.adapter<k>.A``/``.B`` (the k-th task adapter
+of the site's stack, by position, from 1) and ``site.<site>.head<j>``. No
+forward rule is stored, since a loaded site runs what these attach; the
+rule-index record of older files is ignored. Before building anything, the
+loader matches each config int that sizes a tensor to the extent of the base
+record it sizes; then it checks each record against the rebuilt model: rank 0
+for a config scalar, ``(rank, d_in)`` for ``A``, ``(d_out, rank)`` for ``B``
+and ``(d_out, 1)`` for a head. Each mismatch raises ``CheckpointFormatError``
+naming the record; a config the model rejects raises it with the model's
+message, which names the field (record ``config.<field>``). Floats are stored
+exactly, so load(save(model)) reproduces eval logits bit-for-bit. Optimizer
+state is not persisted.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .adapters import AdapterStack
 from .atomic import atomic_write
-from .errors import CheckpointFormatError
-from .model import ADAPTER_SITES, Backbone, ModelConfig, build_model
+from .errors import CheckpointFormatError, ConfigError
+from .model import ADAPTER_SITES, CONFIG_INTS, Backbone, ModelConfig, build_model
 from .selector import AttentionalSelector
 
 MAGIC_PREFIX = b"AMLORA-CKPT "
 VERSION = 1
-
-_CONFIG_INTS = ("vocab_size", "embed_dim", "num_layers", "num_heads",
-                "seq_len", "num_classes", "ffn_multiplier")
 
 
 def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
@@ -41,7 +42,7 @@ def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
         recs.append((name, np.asarray(float(value))))
 
     scalar("config.backbone_is_mlp", cfg.backbone == "mlp")
-    for key in _CONFIG_INTS:
+    for key in CONFIG_INTS:
         scalar(f"config.{key}", getattr(cfg, key))
     scalar("config.dropout_rate", cfg.dropout_rate)
     recs.append(("config.sites_mask", np.asarray(
@@ -62,9 +63,9 @@ def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
     for site_name in sorted(model.sites):
         site = model.sites[site_name]
         if site.stack is not None:
-            for a in site.stack.task_adapters:
-                recs.append((f"site.{site_name}.adapter{a.task_id}.A", a.A.data))
-                recs.append((f"site.{site_name}.adapter{a.task_id}.B", a.B.data))
+            for k, a in enumerate(site.stack.task_adapters, start=1):
+                recs.append((f"site.{site_name}.adapter{k}.A", a.A.data))
+                recs.append((f"site.{site_name}.adapter{k}.B", a.B.data))
         if site.selector is not None:
             for j, h in enumerate(site.selector.heads):
                 recs.append((f"site.{site_name}.head{j}", h.data))
@@ -128,12 +129,10 @@ def _read_records(path: str) -> dict[str, np.ndarray]:
             if rank > 8:
                 raise CheckpointFormatError(f"corrupt record {name}: rank {rank}")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank))
-            count = 1
-            for dim in dims:
-                count *= dim
-            if count > 100_000_000:
+            # a zero extent must not hide the others from the size cap
+            if math.prod(max(dim, 1) for dim in dims) > 100_000_000:
                 raise CheckpointFormatError(f"corrupt record {name}: too large")
-            data = np.frombuffer(_read_exact(f, 8 * count), dtype="<f8")
+            data = np.frombuffer(_read_exact(f, 8 * math.prod(dims)), dtype="<f8")
             records[name] = data.reshape(dims).copy()
     return records
 
@@ -165,11 +164,45 @@ def _require_int(records: dict, name: str) -> int:
     return int(value)
 
 
+def _check_sizes(records: dict, cfg: ModelConfig):
+    """Match each config int that sizes a tensor to the base record it sizes.
+
+    A record's extents are bounded by the file's length, so a corrupt int
+    fails here rather than as a huge allocation in ``build_model``.
+    """
+    layers = sum(k.startswith("base.layers.") and k.endswith(".ffn.w")
+                 for k in records)
+    if cfg.num_layers != layers:
+        raise CheckpointFormatError(
+            f"record 'config.num_layers' is {cfg.num_layers}, but {layers} "
+            f"layers have base records")
+    # (config key, base record, axis, record extent per unit of the key)
+    sized = [("num_classes", "base.classifier.w", 0, 1),
+             ("embed_dim", "base.classifier.w", 1, 1)]
+    if cfg.backbone == "transformer":
+        sized += [("vocab_size", "base.embedding", 0, 1),
+                  ("ffn_multiplier", "base.layers.0.ffn.w", 0, cfg.embed_dim)]
+    for key, name, axis, unit in sized:
+        arr = _require(records, name)
+        if arr.ndim != 2 or getattr(cfg, key) * unit != arr.shape[axis]:
+            raise CheckpointFormatError(
+                f"record 'config.{key}' is {getattr(cfg, key)}, but record "
+                f"{name!r} has shape {arr.shape}")
+
+
 def load_checkpoint(path: str) -> Backbone:
     """Rebuild a frozen, eval-ready model; no state kept on failure."""
     records = _read_records(path)
+    try:
+        return _model_from_records(records)
+    except ConfigError as exc:  # the records decode but describe no model
+        raise CheckpointFormatError(
+            f"config records describe an invalid model: {exc}") from None
+
+
+def _model_from_records(records: dict) -> Backbone:
     kwargs = {key: _require_int(records, f"config.{key}")
-              for key in _CONFIG_INTS}
+              for key in CONFIG_INTS}
     mask = _require(records, "config.sites_mask")
     if mask.shape != (len(ADAPTER_SITES),):
         raise CheckpointFormatError("corrupt config.sites_mask record")
@@ -179,6 +212,7 @@ def load_checkpoint(path: str) -> Backbone:
         dropout_rate=_require_scalar(records, "config.dropout_rate"),
         adapter_sites=tuple(s for s, m in zip(ADAPTER_SITES, mask) if m),
         **kwargs)
+    _check_sizes(records, cfg)
     model = build_model(cfg, seed=0)
     for name, t in model.base_parameters():
         t.data = _require_shape(records, f"base.{name}", t.data.shape)

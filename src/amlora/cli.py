@@ -5,7 +5,7 @@ Verbs:
 * ``run``           -- (method x order x seed) grid of stream runs, CSV out.
 * ``verify-ortho``  -- fixed orthogonality counterexamples plus random study.
 * ``grad-check``    -- finite-difference check of the full gated loss on a
-                       small end-to-end model.
+                       fixed small end-to-end model; reads only ``seed``.
 * ``inspect-gates`` -- train once, then dump mean gate distributions per
                        site and eval task.
 * ``report``        -- aggregate an out-dir's metrics.csv into a text table.
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def verb(name, help_text, config=False, seeds=False):
         """A subcommand with ``--out-dir`` plus only the flags it reads."""
-        sp = sub.add_parser(name, help=help_text)
+        sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--out-dir", metavar="PATH",
                         help="output directory (env AMLORA_OUT, else amlora_out)")
         if config:
@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     orthop.add_argument("--trials", type=int, default=100,
                         help="random-study trials per nonlinearity")
 
-    verb("grad-check", "finite-difference check on a toy gated model",
-         config=True)
+    verb("grad-check", "finite-difference check on a fixed d=8 toy gated "
+         "model; of the config it reads only seed", config=True)
     verb("inspect-gates", "dump mean gate distributions after training",
          config=True, seeds=True)
     verb("report", "aggregate metrics.csv in the out dir")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .baselines import METHODS, MethodSpec
+from .baselines import METHODS, MethodSpec, check_lambda
 from .errors import ConfigError
 from .harness import TrainConfig
 from .model import ADAPTER_SITES, ModelConfig
@@ -48,10 +48,7 @@ def _lambda(key, v):
         parts = [float(p) for p in str(v).split(",")]
     except ValueError:
         raise ConfigError(f"lambda expects a number or comma list, got {v!r}")
-    if not all(math.isfinite(p) for p in parts):
-        raise ConfigError(f"lambda values must be finite, got {v!r}")
-    if any(p < 0 for p in parts):
-        raise ConfigError("lambda values must be >= 0")
+    check_lambda(parts, v)
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -111,9 +108,9 @@ def set_key(cfg: dict, key: str, value: str):
     cfg[key] = _SCHEMA[key][0](key, value)
 
 
-def parse_config(text: str, base: dict | None = None) -> dict:
+def parse_config(text: str) -> dict:
     """key=value lines over the defaults; '#' starts a comment."""
-    cfg = dict(default_config() if base is None else base)
+    cfg = default_config()
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,9 +129,9 @@ def parse_config(text: str, base: dict | None = None) -> dict:
     return cfg
 
 
-def load_config(path: str, base: dict | None = None) -> dict:
+def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read(), base)
+        return parse_config(f.read())
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -180,8 +177,8 @@ def to_train_config(cfg: dict) -> TrainConfig:
                        pretrain_lr=cfg["pretrain_lr"])
 
 
-def to_method_spec(cfg: dict, method: str | None = None) -> MethodSpec:
-    return MethodSpec(name=method or cfg["method"], rank=cfg["r"],
+def to_method_spec(cfg: dict) -> MethodSpec:
+    return MethodSpec(name=cfg["method"], rank=cfg["r"],
                       alpha=cfg["alpha"], variant=cfg["variant"],
                       lam=cfg["lambda"])
 

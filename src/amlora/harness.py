@@ -162,9 +162,9 @@ def pretrain_base(model_cfg: ModelConfig, model_seed: int, stream: TaskStream,
 
 
 def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
-               train_cfg: TrainConfig, seed: int, out_dir: str | None = None,
+               train_cfg: TrainConfig, seed: int,
                checkpoint_path: str | None = None) -> MetricsReport:
-    """Train one method over the stream; flush a partial report on abort."""
+    """Train one method over the stream; write only the optional checkpoint."""
     for spec in stream.tasks:  # an unknown generator fails in generate_task
         want = GENERATORS.get(spec.generator, model_cfg.backbone)
         if model_cfg.backbone != want:
@@ -189,44 +189,37 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
         union_y = np.concatenate([d.train_y for d in data])
 
     own_acc: list[float] = []  # per-task accuracy of that task's own model
-    try:
-        for stage, tdata in enumerate(data):
-            rng = np.random.default_rng(stage_seeds[stage])
-            if driver.fresh_model_per_stage and stage > 0:
-                model = pretrain_base(model_cfg, model_seed, stream,
-                                      train_cfg, pretrain_seed)
-                driver.attach(model, attach_seed)
-            params = driver.start_stage(model, stage, stage_seeds[stage])
-            opt = Optimizer(params, kind=train_cfg.optimizer,
-                            lr=train_cfg.lr) if params else None
-            if driver.union_training:
-                tx, ty = union_x, union_y
-            else:
-                tx, ty = tdata.train_x, tdata.train_y
-            t0 = time.perf_counter()
-            train_task(model, opt, tx, ty, train_cfg, rng,
-                       extra_loss_fn=lambda: driver.extra_loss(model))
-            wall = time.perf_counter() - t0
-            driver.end_stage(model, stage)
+    for stage, tdata in enumerate(data):
+        rng = np.random.default_rng(stage_seeds[stage])
+        if driver.fresh_model_per_stage and stage > 0:
+            model = pretrain_base(model_cfg, model_seed, stream,
+                                  train_cfg, pretrain_seed)
+            driver.attach(model, attach_seed)
+        params = driver.start_stage(model, stage, stage_seeds[stage])
+        opt = Optimizer(params, kind=train_cfg.optimizer,
+                        lr=train_cfg.lr) if params else None
+        if driver.union_training:
+            tx, ty = union_x, union_y
+        else:
+            tx, ty = tdata.train_x, tdata.train_y
+        t0 = time.perf_counter()
+        train_task(model, opt, tx, ty, train_cfg, rng,
+                   extra_loss_fn=lambda: driver.extra_loss(model))
+        wall = time.perf_counter() - t0
+        driver.end_stage(model, stage)
 
-            if driver.fresh_model_per_stage:
-                own_acc.append(evaluate(model, tdata))
-                row = list(own_acc)
-            else:
-                row = [evaluate(model, data[i]) for i in range(stage + 1)]
-            report.acc.append(row)
-            report.trainable_per_task.append(sum(p.size for p in params))
-            report.wall_clock.append(wall)
-    except Exception:
-        if out_dir is not None and report.acc:
-            emit_report([report], out_dir)
-        raise
+        if driver.fresh_model_per_stage:
+            own_acc.append(evaluate(model, tdata))
+            row = list(own_acc)
+        else:
+            row = [evaluate(model, data[i]) for i in range(stage + 1)]
+        report.acc.append(row)
+        report.trainable_per_task.append(sum(p.size for p in params))
+        report.wall_clock.append(wall)
     _overhead_counts(model, report)
     if checkpoint_path is not None:
         from .checkpoint import save_checkpoint
         save_checkpoint(model, checkpoint_path)
-    if out_dir is not None:
-        emit_report([report], out_dir)
     return report
 
 

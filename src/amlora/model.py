@@ -21,6 +21,9 @@ from .errors import ConfigError, DimensionError
 from .selector import AttentionalSelector, apply_gated
 
 ADAPTER_SITES = ("query", "key", "value", "output", "ffn")
+# ModelConfig's positive-int fields, in checkpoint record order
+CONFIG_INTS = ("vocab_size", "embed_dim", "num_layers", "num_heads",
+               "seq_len", "num_classes", "ffn_multiplier")
 
 
 @dataclass
@@ -39,13 +42,8 @@ class ModelConfig:
     def validate(self):
         if self.backbone not in ("transformer", "mlp"):
             raise ConfigError(f"unknown backbone {self.backbone!r}")
-        for name, v in (("vocab_size", self.vocab_size),
-                        ("embed_dim", self.embed_dim),
-                        ("num_layers", self.num_layers),
-                        ("num_heads", self.num_heads),
-                        ("seq_len", self.seq_len),
-                        ("num_classes", self.num_classes),
-                        ("ffn_multiplier", self.ffn_multiplier)):
+        for name in CONFIG_INTS:
+            v = getattr(self, name)
             if v < 1:
                 raise ConfigError(f"{name} must be positive, got {v}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -232,7 +230,3 @@ def build_model(config: ModelConfig, seed: int) -> Backbone:
                 model.sites[f"layers.{i}.{site_name}"] = layer[site_name]
     return model
 
-
-def forward(model: Backbone, batch, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> Tensor:
-    return model.forward(batch, mode=mode, rng=rng)

@@ -23,19 +23,16 @@ VARIANTS = ("NR", "AR")
 
 
 class AttentionalSelector:
-    """Ordered score heads [w_0, w_1, ..., w_n], one per stacked adapter."""
+    """Ordered score heads [w_0, ..., w_n], one per stacked adapter; ``variant``
+    picks the heads that train. The L1 weight is passed to ``sparsity_loss``."""
 
-    def __init__(self, stack_len: int, d_out: int, variant: str = "AR",
-                 lam: float = 0.0):
+    def __init__(self, stack_len: int, d_out: int, variant: str = "AR"):
         if stack_len < 1:
             raise ConfigError("selector needs at least one head")
         if variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if lam < 0:
-            raise ConfigError("sparsity weight lambda must be >= 0")
         self.d_out = d_out
         self.variant = variant
-        self.lam = float(lam)
         self.heads: list[Tensor] = [
             Tensor(np.zeros((d_out, 1)), requires_grad=True)
             for _ in range(stack_len)]
@@ -57,9 +54,9 @@ class AttentionalSelector:
         return sum(h.size for h in self.heads)
 
 
-def selector_init(stack_len: int, d_out: int, variant: str = "AR",
-                  lam: float = 0.0) -> AttentionalSelector:
-    return AttentionalSelector(stack_len, d_out, variant, lam)
+def selector_init(stack_len: int, d_out: int,
+                  variant: str = "AR") -> AttentionalSelector:
+    return AttentionalSelector(stack_len, d_out, variant)
 
 
 def _require_fresh(selector: AttentionalSelector, n_outputs: int):
@@ -114,32 +111,29 @@ def mixed_forward(w0: Tensor, stack: AdapterStack,
     return apply_gated(base, stack, selector, x)
 
 
-def sparsity_loss(selector: AttentionalSelector) -> Tensor:
-    """lambda * sum of L1 norms of all heads (zero adapter's head included).
+def sparsity_loss(selector: AttentionalSelector, lam: float) -> Tensor:
+    """lam * sum of L1 norms of all heads (zero adapter's head included).
 
-    One ``l1`` tape node per selector; no node when lambda is 0.
+    ``lam`` is the stage's weight from ``MethodSpec``. One ``l1`` tape node
+    per selector; none when ``lam`` is 0.
     """
-    if selector.lam == 0.0:
+    if lam == 0.0:
         return Tensor(np.asarray(0.0))
-    return ad.l1_sum(selector.heads, selector.lam)
+    return ad.l1_sum(selector.heads, lam)
 
 
-def trainable_set(selector: AttentionalSelector, stack: AdapterStack,
-                  variant: str | None = None) -> list[Tensor]:
+def trainable_set(selector: AttentionalSelector, stack: AdapterStack) -> list[Tensor]:
     """Parameters that train for the active task: new adapter pair plus heads.
 
-    AR trains every head; NR trains only the newest head. This is the only
-    encoding of that rule; drivers set ``requires_grad`` from membership.
+    ``selector.variant`` AR trains every head, NR only the newest. This is the
+    only encoding of that rule; drivers set ``requires_grad`` from membership.
     The zero adapter has no parameters and can never appear here.
     """
     if not stack.training_active:
         raise StateError("trainable_set requires an active task")
-    variant = variant or selector.variant
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     current = stack.adapters[-1]
     params = [current.A, current.B]
-    if variant == "AR":
+    if selector.variant == "AR":
         params.extend(selector.heads)
     else:
         params.append(selector.heads[-1])

@@ -11,12 +11,11 @@ from amlora.errors import ConfigError, DimensionError, StateError
 
 
 def test_new_adapter_shapes_and_init():
-    a = new_adapter(12, 10, rank=3, alpha=6.0, task_id=2, seed=7)
+    a = new_adapter(12, 10, rank=3, alpha=6.0, seed=7)
     assert a.A.data.shape == (3, 10)
     assert a.B.data.shape == (12, 3)
     assert np.all(a.B.data == 0.0)
     assert a.A.requires_grad and a.B.requires_grad
-    assert a.task_id == 2
     assert a.scale == 2.0
     # Gaussian(0, 0.02) draw: loose moment check on a bigger sample.
     big = new_adapter(64, 64, rank=16, seed=0)
@@ -101,8 +100,7 @@ def test_freeze_clears_grad_and_flags():
 
 
 def test_zero_adapter_invariants():
-    z = LoraAdapter(None, None, rank=4, alpha=32.0, task_id=0, is_zero=True,
-                    d_out=8)
+    z = LoraAdapter(None, None, rank=4, alpha=32.0, is_zero=True, d_out=8)
     assert z.frozen
     assert z.param_count() == 0
     out = adapter_apply(z, Tensor(np.ones((3, 5))))
@@ -117,7 +115,7 @@ def test_stack_lifecycle():
     assert len(stack) == 1
     assert stack.adapters[0].is_zero
     first = stack.begin_task(seed=1)
-    assert len(stack) == 2 and stack.current_task == 1
+    assert len(stack) == 2 and stack.adapters[1] is first
     assert not first.frozen
     stack.training_active = True
     with pytest.raises(StateError):
@@ -125,7 +123,7 @@ def test_stack_lifecycle():
     stack.training_active = False
     second = stack.begin_task(seed=2)
     assert first.frozen and not second.frozen
-    assert second.task_id == 2
+    assert stack.adapters[2] is second
 
 
 def test_stack_outputs_layout():

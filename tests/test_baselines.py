@@ -11,6 +11,7 @@ from amlora.baselines import (METHODS, AmLoraDriver, IncLoraDriver,
                               make_driver)
 from amlora.errors import ConfigError
 from amlora.model import ModelConfig, build_model
+from amlora.selector import sparsity_loss
 
 CFG = ModelConfig(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
                   seq_len=6, num_classes=3, dropout_rate=0.0,
@@ -56,6 +57,37 @@ def test_lam_schedule():
     assert sched.lam_at(1) == 1e-4
     assert sched.lam_at(7) == 1e-2  # clamps to the last entry
     assert MethodSpec("amlora", lam=[]).lam_at(0) == 0.0
+
+
+@pytest.mark.parametrize("lam", [-1.0, [0.0, -1e-3], float("nan"),
+                                 float("inf")])
+def test_method_spec_rejects_negative_or_non_finite_lambda(lam):
+    # A negative weight would reward dense gates, the opposite of the L1
+    # term's purpose; the spec is the one owner of lambda's range.
+    with pytest.raises(ConfigError, match="lambda"):
+        MethodSpec("amlora", lam=lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_amlora_extra_loss_is_the_stage_lambda_times_every_site_l1(lam):
+    model = fresh_model()
+    driver = make_driver(MethodSpec("amlora", rank=2, alpha=4.0, lam=lam))
+    driver.attach(model, seed=0)
+    assert driver.extra_loss(model) is None  # before the first stage
+    driver.start_stage(model, 0, seed=1)
+    rng = np.random.default_rng(3)
+    for site in model.sites.values():
+        for h in site.selector.heads:
+            h.data = rng.normal(size=h.data.shape)
+    extra = driver.extra_loss(model)
+    if lam == 0.0:
+        assert extra is None
+        return
+    want = None
+    for site in model.sites.values():
+        term = sparsity_loss(site.selector, lam)
+        want = term if want is None else ad.add(want, term)
+    assert extra.data.tobytes() == want.data.tobytes()
 
 
 def test_make_driver_dispatch():
@@ -190,11 +222,11 @@ def test_amlora_lambda_schedule_applies_per_stage():
     driver = make_driver(MethodSpec("amlora", rank=2, lam=[0.0, 1e-3]))
     driver.attach(model, seed=0)
     driver.start_stage(model, 0, seed=1)
-    assert all(s.selector.lam == 0.0 for s in model.sites.values())
+    assert driver.lam == 0.0
     assert driver.extra_loss(model) is None
     driver.end_stage(model, 0)
     driver.start_stage(model, 1, seed=2)
-    assert all(s.selector.lam == 1e-3 for s in model.sites.values())
+    assert driver.lam == 1e-3
     extra = driver.extra_loss(model)
     assert extra is not None and extra.data.shape == ()
 

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,3 +290,91 @@ def test_adapter_and_head_shapes_checked_at_load(tmp_path, name, shape,
         load_checkpoint(broken)
     msg = str(exc.value)
     assert name in msg and str(shape) in msg and want in msg
+
+
+def _load_small(path):
+    """load_checkpoint under tracemalloc; the peak must stay a few MB."""
+    tracemalloc.start()
+    try:
+        return load_checkpoint(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 * 2**20, f"load peaked at {peak} bytes"
+
+
+# Values ModelConfig.validate rejects: an mlp flag on a query/value model,
+# 3 heads at d = 8, a dropout rate above 1.
+@pytest.mark.parametrize("name,value,field", [
+    ("config.backbone_is_mlp", 1.0, "mlp backbone"),
+    ("config.num_heads", 3.0, "num_heads 3"),
+    ("config.dropout_rate", 1.5, "dropout_rate"),
+])
+def test_config_record_the_model_rejects_is_a_format_error(tmp_path, name,
+                                                           value, field):
+    broken = _rewrite(tmp_path, name, lambda old: np.asarray(value))
+    with pytest.raises(CheckpointFormatError,
+                       match=f"config records describe an invalid model.*{field}"):
+        _load_small(broken)
+
+
+def test_zero_extent_does_not_hide_an_overflowing_shape(tmp_path):
+    # A flipped rank field makes the reader take data bytes as dims; a 0
+    # among them used to pass the size cap and overflow numpy's reshape.
+    path = str(tmp_path / "dims.ckpt")
+    dims = (0, 2**32 - 1, 2**32 - 1)
+    with open(path, "wb") as f:
+        f.write(b"AMLORA-CKPT 1\n" + struct.pack("<I", 20)
+                + b"config.adapter_alpha" + struct.pack("<I", len(dims))
+                + struct.pack("<3I", *dims))
+    with pytest.raises(CheckpointFormatError,
+                       match="config.adapter_alpha: too large"):
+        _load_small(path)
+
+
+# Each of these sized a tensor in build_model before any shape check: 2**40
+# asked for 128 TiB, 8.0 * 2**64 (one exponent-bit flip of 8.0) exceeded
+# numpy's maximum dimension, and the rest allocated 8 MB to 300 MB.
+@pytest.mark.parametrize("name,value", [
+    ("config.embed_dim", 2.0**40),
+    ("config.embed_dim", 8.0 * 2.0**64),
+    ("config.embed_dim", 2048.0),
+    ("config.vocab_size", 2.0**17),
+    ("config.num_classes", 2.0**17),
+    ("config.ffn_multiplier", 2.0**14),
+    ("config.num_layers", 2.0**12),
+])
+def test_config_int_that_sizes_a_tensor_is_checked_first(tmp_path, name,
+                                                         value):
+    broken = _rewrite(tmp_path, name, lambda old: np.asarray(value))
+    with pytest.raises(CheckpointFormatError, match=rf"record '{name}' is"):
+        _load_small(broken)
+
+
+def test_fuzzed_checkpoint_loads_or_raises_format_error(tmp_path):
+    # Seeded truncations and single-bit flips of a two-adapter file. Every
+    # outcome is a load or a CheckpointFormatError; a silent load (a flip in
+    # the float data, say) is counted, not failed, since the format has no
+    # checksum yet.
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(gated_model(), path)
+    blob = open(path, "rb").read()
+    rng = np.random.default_rng(0)
+    broken = str(tmp_path / "broken.ckpt")
+    loads = {"truncation": 0, "bit flip": 0}
+    for trial in range(1000):
+        mutated = bytearray(blob)
+        kind = "truncation" if trial % 2 else "bit flip"
+        if kind == "truncation":
+            mutated = mutated[:int(rng.integers(0, len(blob)))]
+        else:
+            bit = int(rng.integers(0, 8 * len(blob)))
+            mutated[bit // 8] ^= 1 << (bit % 8)
+        with open(broken, "wb") as f:
+            f.write(mutated)
+        try:
+            load_checkpoint(broken)
+            loads[kind] += 1
+        except CheckpointFormatError:
+            pass
+    print(f"silent loads of a {len(blob)}-byte file, of 500 each: {loads}")

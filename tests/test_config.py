@@ -93,7 +93,7 @@ def test_format_round_trip_and_digest():
     cfg = default_config()
     cfg["lambda"] = [0.0, 1e-5]
     text = format_config(cfg)
-    again = parse_config(text, base=default_config())
+    again = parse_config(text)
     assert again == cfg
     assert config_digest(cfg) == config_digest(again)
     other = apply_overrides(cfg, ["seed=1"])
@@ -111,7 +111,7 @@ def test_bridges_build_consistent_objects():
     assert tc.lr == cfg["lr"] and tc.pretrain_epochs == cfg["pretrain_epochs"]
     ms = to_method_spec(cfg)
     assert ms.name == cfg["method"] and ms.rank == cfg["r"]
-    assert to_method_spec(cfg, "seqft").name == "seqft"
+    assert to_method_spec(dict(cfg, method="seqft")).name == "seqft"
     stream = to_stream(cfg)
     assert len(stream) == cfg["tasks"]
     assert stream.order_id == cfg["order"]

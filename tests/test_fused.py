@@ -61,8 +61,8 @@ def _stack(n, rng, d_out=6, d_in=4):
     return stack
 
 
-def _selector(n, rng, variant, d_out=6, lam=0.0):
-    sel = AttentionalSelector(n + 1, d_out, variant, lam)
+def _selector(n, rng, variant, d_out=6):
+    sel = AttentionalSelector(n + 1, d_out, variant)
     for j, h in enumerate(sel.heads):
         h.data = rng.normal(0.0, 0.5, size=h.data.shape)
         h.requires_grad = variant == "AR" or j == n
@@ -75,7 +75,7 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
     rng = np.random.default_rng(2)
     n = 3
     stack = _stack(n, rng)
-    sel = None if variant is None else _selector(n, rng, variant, lam=0.01)
+    sel = None if variant is None else _selector(n, rng, variant)
     x = _leaf(rng, shape + (4,))
     base = _leaf(rng, shape + (6,))
     weights = Tensor(rng.normal(size=shape + (6,)))
@@ -86,7 +86,9 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
     def loss(_):
         out = apply_gated(base, stack, sel, x)
         total = ad.sum_all(ad.mul(out, weights))
-        return total if sel is None else ad.add(total, sparsity_loss(sel))
+        if sel is None:
+            return total
+        return ad.add(total, sparsity_loss(sel, 0.01))
 
     assert finite_diff_check(loss, [x, base, current.A, current.B] + heads) \
         < 1e-6
@@ -112,18 +114,18 @@ def _reference_gated(base, stack, selector, x):
     return h
 
 
-def _reference_sparsity(selector):
+def _reference_sparsity(selector, lam):
     total = ad.l1_norm(selector.heads[0])
     for h in selector.heads[1:]:
         total = ad.add(total, ad.l1_norm(h))
-    return ad.mul(total, selector.lam)
+    return ad.mul(total, lam)
 
 
 def _run(fused: bool, n, gated, variant, shape, seed):
     """Forward bytes and every leaf's grad bytes of one gated site step."""
     rng = np.random.default_rng(seed)
     stack = _stack(n, rng)
-    sel = _selector(n, rng, variant, lam=1e-3) if gated else None
+    sel = _selector(n, rng, variant) if gated else None
     x = _leaf(rng, shape + (4,))
     w, b = _leaf(rng, (6, 4)), _leaf(rng, (6,))
     weights = Tensor(rng.normal(size=shape + (6,)))
@@ -137,8 +139,8 @@ def _run(fused: bool, n, gated, variant, shape, seed):
     loss = ad.add(ad.sum_all(ad.mul(out, weights)),
                   ad.sum_all(ad.mul(ad.relu(x), weights.data[..., :4])))
     if gated:
-        loss = ad.add(loss, sparsity_loss(sel) if fused
-                      else _reference_sparsity(sel))
+        loss = ad.add(loss, sparsity_loss(sel, 1e-3) if fused
+                      else _reference_sparsity(sel, 1e-3))
     ad.backward(loss)
     leaves = [x, w, b] + [t for a in stack.task_adapters for t in (a.A, a.B)]
     leaves += sel.heads if gated else []

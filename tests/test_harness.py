@@ -14,7 +14,7 @@ from amlora.errors import ConfigError, StateError
 from amlora.harness import (MetricsReport, TrainConfig, emit_report, evaluate,
                             pretrain_base, run_stream, train_task)
 from amlora.model import ModelConfig, build_model
-from amlora.tasks import TaskSpec, TaskStream, build_stream, generate_task
+from amlora.tasks import build_stream, generate_task
 
 MODEL = ModelConfig(vocab_size=64, embed_dim=8, num_layers=1, num_heads=2,
                     seq_len=6, num_classes=4, dropout_rate=0.0,
@@ -175,11 +175,11 @@ def test_run_stream_seqft_trains_base():
     assert rep.trainable_per_task == [base] * 3
 
 
-def test_emit_report_files_and_reaggregation():
-    out = "/tmp/amlora_test_report"
+def test_emit_report_files_and_reaggregation(tmp_path):
+    out = str(tmp_path / "report")
     stream = small_stream()
-    rep = run_stream(stream, small_method("inclora"), MODEL, TRAIN, seed=3,
-                     out_dir=out)
+    rep = run_stream(stream, small_method("inclora"), MODEL, TRAIN, seed=3)
+    emit_report([rep], out)
     with open(os.path.join(out, "metrics.csv")) as f:
         rows = list(csv.DictReader(f))
     assert set(rows[0]) == {"method", "seed", "order_id", "after_task",
@@ -200,42 +200,21 @@ def test_emit_report_files_and_reaggregation():
                     ("1", "1"), ("1", "2"), ("2", "2")]
 
 
-def test_emit_report_rejects_non_triangular():
+def test_emit_report_rejects_non_triangular(tmp_path):
     r = MetricsReport(method="x", seed=0, order_id="order1",
                       acc=[[0.5], [0.5]])
     with pytest.raises(StateError, match="triangular"):
-        emit_report([r], "/tmp/amlora_bad_report")
+        emit_report([r], str(tmp_path / "bad_report"))
 
 
-def test_run_stream_byte_identical_metrics():
-    out1, out2 = "/tmp/amlora_det1", "/tmp/amlora_det2"
+def test_run_stream_byte_identical_metrics(tmp_path):
+    out1, out2 = str(tmp_path / "det1"), str(tmp_path / "det2")
     for out in (out1, out2):
-        run_stream(small_stream(), small_method(), MODEL, TRAIN, seed=7,
-                   out_dir=out)
+        emit_report([run_stream(small_stream(), small_method(), MODEL, TRAIN,
+                                seed=7)], out)
     with open(os.path.join(out1, "metrics.csv"), "rb") as f:
         b1 = f.read()
     with open(os.path.join(out2, "metrics.csv"), "rb") as f:
         b2 = f.read()
     assert b1 == b2
 
-
-def test_run_stream_partial_flush_on_failure(tmp_path):
-    # Stage 1's tokens exceed the model vocabulary; the stage-0 results must
-    # still reach metrics.csv before the error propagates.
-    good = small_stream().tasks[0]
-    bad_params = {"vocab": 128, "seq_len": 6, "p_sig": 0.4,
-                  "sig_tokens_per_class": 2, "num_tasks": 1, "num_classes": 4}
-    bad = TaskSpec(task_id=1, num_classes=4, train_per_class=8,
-                   eval_per_class=4, generator="token_signature",
-                   params=bad_params, seed=5)
-    stream = TaskStream([good, bad])
-    out = str(tmp_path / "amlora_partial")
-    if os.path.exists(os.path.join(out, "metrics.csv")):
-        os.unlink(os.path.join(out, "metrics.csv"))
-    with pytest.raises(ValueError, match="vocabulary"):
-        run_stream(stream, small_method("seqft"), MODEL, TRAIN, seed=0,
-                   out_dir=out)
-    with open(os.path.join(out, "metrics.csv")) as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 1
-    assert rows[0]["after_task"] == "0" and rows[0]["eval_task"] == "0"

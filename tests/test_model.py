@@ -7,8 +7,7 @@ from amlora import autodiff as ad
 from amlora.adapters import AdapterStack, merged_weight
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError
-from amlora.model import (ADAPTER_SITES, Backbone, ModelConfig, build_model,
-                          forward)
+from amlora.model import ADAPTER_SITES, Backbone, ModelConfig, build_model
 from amlora.selector import selector_init
 
 SMALL = dict(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
@@ -67,7 +66,7 @@ def test_forward_shapes_and_eval_determinism():
     m = small_model()
     ids = token_batch()
     out1 = m.forward(ids, mode="eval")
-    out2 = forward(m, ids)
+    out2 = m.forward(ids)
     assert out1.data.shape == (5, 3)
     assert out1.data.tobytes() == out2.data.tobytes()
 

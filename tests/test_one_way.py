@@ -1,16 +1,18 @@
 """One way to do each thing: ops go through the functional autodiff API,
 evaluation has one batch default, report rows are built once, what a method
-attaches decides each site's forward, and each verb accepts only the inputs
-it reads."""
+attaches decides each site's forward, each verb accepts only the inputs it
+reads, and each value has one owner."""
 
 import csv
 import dataclasses
+import inspect
 import os
 
 import pytest
 
 import amlora
 import amlora.cli as cli
+from amlora import adapters, configfile, harness, model, selector
 from amlora.autodiff import Tensor
 from amlora.cli import parse_and_dispatch
 from amlora.harness import MetricsReport, TrainConfig, emit_report
@@ -152,3 +154,31 @@ def test_rotated_gaussian_runs_on_the_mlp(tmp_path):
 def test_verb_rejects_flags_it_does_not_read(tmp_path, argv):
     assert parse_and_dispatch(argv + ["--out-dir", str(tmp_path)]) == 1
     assert not os.listdir(tmp_path)
+
+
+def test_each_value_has_one_owner_and_no_test_only_parameter():
+    # lambda lives on the method spec, the AR/NR rule reads the selector's
+    # variant, an adapter's index is its position in the stack, and
+    # ModelConfig's positive ints are listed once, in amlora.model.
+    assert not hasattr(selector.AttentionalSelector(1, 4), "lam")
+    for fn, name in ((selector.AttentionalSelector, "lam"),
+                     (selector.selector_init, "lam"),
+                     (selector.trainable_set, "variant"),
+                     (harness.run_stream, "out_dir"),
+                     (configfile.parse_config, "base"),
+                     (configfile.load_config, "base"),
+                     (configfile.to_method_spec, "method"),
+                     (adapters.new_adapter, "task_id")):
+        assert name not in inspect.signature(fn).parameters, (fn, name)
+    assert not hasattr(model, "forward") and not hasattr(amlora, "forward")
+    src = os.path.dirname(amlora.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            # tasks.py keeps TaskSpec.task_id, a task's id in the stream
+            words = ("current_task", "_CONFIG_INTS") + (
+                () if name == "tasks.py" else ("task_id",))
+            offenders += [(name, w) for w in words if w in text]
+    assert offenders == []

@@ -27,8 +27,6 @@ def test_selector_validation():
         AttentionalSelector(0, 4)
     with pytest.raises(ConfigError):
         AttentionalSelector(2, 4, variant="XY")
-    with pytest.raises(ConfigError):
-        AttentionalSelector(2, 4, lam=-0.1)
 
 
 def test_param_count_per_site():
@@ -137,32 +135,32 @@ def test_capture_exposes_gates():
 
 
 def test_sparsity_loss_exact_value():
-    sel = selector_init(2, 3, lam=0.5)
+    sel = selector_init(2, 3)
     sel.heads[0].data = np.array([[1.0], [-2.0], [0.0]])
     sel.heads[1].data = np.array([[0.5], [0.0], [4.0]])
-    assert sparsity_loss(sel).data == 0.5 * (3.0 + 4.5)
+    assert sparsity_loss(sel, 0.5).data == 0.5 * (3.0 + 4.5)
 
 
 def test_sparsity_loss_off_when_lambda_zero():
-    sel = selector_init(2, 3, lam=0.0)
+    sel = selector_init(2, 3)
     sel.heads[0].data = np.ones((3, 1))
-    out = sparsity_loss(sel)
+    out = sparsity_loss(sel, 0.0)
     assert out.data == 0.0
     assert not out.requires_grad
 
 
 def test_sparsity_subgradient_zero_at_zero():
-    sel = selector_init(2, 3, lam=0.7)
-    loss = sparsity_loss(sel)
+    sel = selector_init(2, 3)
+    loss = sparsity_loss(sel, 0.7)
     ad.backward(loss)
     for h in sel.heads:
         assert np.all(h.grad == 0.0)
 
 
 def test_sparsity_gradient_is_scaled_sign():
-    sel = selector_init(1, 3, lam=0.25)
+    sel = selector_init(1, 3)
     sel.heads[0].data = np.array([[2.0], [-3.0], [0.0]])
-    ad.backward(sparsity_loss(sel))
+    ad.backward(sparsity_loss(sel, 0.25))
     assert np.array_equal(sel.heads[0].grad, 0.25 * np.array([[1.0], [-1.0], [0.0]]))
 
 
@@ -174,14 +172,13 @@ def test_trainable_set_variants():
     stack.training_active = True
     current = stack.adapters[-1]
 
-    nr = trainable_set(sel, stack, variant="NR")
+    sel.variant = "NR"
+    nr = trainable_set(sel, stack)
     assert nr == [current.A, current.B, sel.heads[-1]]
 
-    ar = trainable_set(sel, stack, variant="AR")
+    sel.variant = "AR"
+    ar = trainable_set(sel, stack)
     assert ar == [current.A, current.B] + sel.heads
-
-    with pytest.raises(ConfigError):
-        trainable_set(sel, stack, variant="bogus")
 
 
 def test_gated_forward_grads_match_finite_difference():
@@ -194,7 +191,7 @@ def test_gated_forward_grads_match_finite_difference():
     w0 = Tensor(rng.normal(0.0, 0.2, size=(stack.d_out, 4)))
     y = np.array([0, 1, 2, 0])
     stack.training_active = True
-    params = trainable_set(sel, stack, variant="AR")
+    params = trainable_set(sel, stack)
 
     def loss_fn(_params):
         logits = mixed_forward(w0, stack, sel, x)
