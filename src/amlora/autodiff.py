@@ -5,10 +5,17 @@ node to a thread-local tape; ``backward`` replays the tape in reverse
 insertion order, which guarantees a single deterministic reduction order.
 The tape is rebuilt on every forward pass, so parameter sets that grow over
 time (new adapters, new selector heads) need no graph surgery.
+
+Each training step allocates the tape's activations and frees them again.
+Importing this module therefore sets two glibc malloc options for the whole
+process: freed memory stays mapped for reuse instead of going back to the
+kernel, which would fault it in afresh on the next step. Elsewhere the
+platform allocator is left as it is. Float results do not depend on either.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from typing import Callable, Iterable, Sequence
@@ -18,6 +25,29 @@ import numpy as np
 from .errors import DimensionError, GradientError
 
 _tls = threading.local()
+
+# glibc <malloc.h> parameter numbers
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory_mapped():
+    """Serve blocks up to 32 MiB from the heap and never trim it.
+
+    Both options are needed: setting either one turns off glibc's dynamic
+    mmap threshold, and its 128 KiB default would then give every eval
+    array of a few MB a fresh ``mmap`` on each forward pass.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, -1)  # -1: never trim
+    except (OSError, AttributeError, TypeError):
+        pass  # not glibc
+
+
+_keep_freed_memory_mapped()
 
 
 def _state():
@@ -118,8 +148,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make("add", (a, b), data, bw)
 
@@ -129,15 +161,20 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make("mul", (a, b), data, bw)
 
 
 def relu(t: Tensor) -> Tensor:
     mask = t.data > 0.0
-    data = np.where(mask, t.data, 0.0)
+    # np.where(mask, x, 0.0) without a branch per element: fmax maps NaN to
+    # 0 and the + 0.0 turns its -0.0 into +0.0, so the bits are the same.
+    data = np.fmax(t.data, 0.0)
+    data += 0.0
 
     def bw(g):
         _accum(t, g * mask)
@@ -277,7 +314,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
         raise DimensionError(
             f"linear input {x.data.shape} does not fit weight {w.data.shape}")
-    data = x.data @ w.data.T + b.data
+    data = x.data @ w.data.T
+    data += b.data
 
     def bw(g):
         if b.requires_grad:
@@ -311,7 +349,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     kh = np.transpose(k.data.reshape(split), (0, 2, 1, 3))
     vh = np.transpose(v.data.reshape(split), (0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
-    y = _softmax_rows((qh @ np.transpose(kh, (0, 1, 3, 2))) * scale)
+    scores = qh @ np.transpose(kh, (0, 1, 3, 2))
+    scores *= scale
+    y = _softmax_rows(scores)
     data = np.transpose(y @ vh, (0, 2, 1, 3)).reshape(shape)
 
     def bw(g):
@@ -351,7 +391,9 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
     """
     xd = x.data
     lows = [xd @ A.data.T for A, _, _ in pairs]
-    outs = [(low @ B.data.T) * scale for low, (_, B, scale) in zip(lows, pairs)]
+    outs = [low @ B.data.T for low, (_, B, _) in zip(lows, pairs)]
+    for o, (_, _, scale) in zip(outs, pairs):
+        o *= scale
     # adapter i's output needs a gradient when x or its pair does
     out_req = [x.requires_grad or A.requires_grad or B.requires_grad
                for A, B, _ in pairs]
@@ -365,7 +407,11 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
         any(out_req) or any(h.requires_grad for h in heads))
     data = base.data
     for i, o in enumerate(outs, start=1):
-        data = data + (o if y is None else y[..., i:i + 1] * o)
+        term = o if y is None else y[..., i:i + 1] * o
+        if i == 1:
+            data = data + term  # a fresh array: base.data is never written
+        else:
+            data += term
 
     def bw(g):
         if base.requires_grad:
@@ -421,9 +467,10 @@ def softmax(t: Tensor) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -490,7 +537,8 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; caller only invokes this in train mode."""
     if rate <= 0.0:
         return t
-    mask = (rng.random(t.data.shape) >= rate) / (1.0 - rate)
+    # bool times 1/(1 - rate) rounds as bool / (1 - rate) does, but multiplies
+    mask = (rng.random(t.data.shape) >= rate) * (1.0 / (1.0 - rate))
     return mul(t, Tensor(mask))
 
 
@@ -532,10 +580,15 @@ def reset_tape():
 
 
 class Optimizer:
-    """SGD / Adam over an explicit set of trainable tensors.
+    """SGD / Adam over an explicit set of trainable tensors, in one flat update.
 
-    Adam uses beta1=0.9, beta2=0.999, eps=1e-8. ``step`` clears grads after
-    applying the update; frozen tensors may never be registered.
+    Adam uses beta1=0.9, beta2=0.999, eps=1e-8, and keeps its two moments as
+    flat arrays in which each parameter owns one slice. ``step`` checks every
+    grad before it changes anything, gathers the grads into one array, runs
+    the update expression once over it, subtracts each parameter's slice in
+    place and clears the grads. Every operation is elementwise, so the bytes
+    equal those of the same update run tensor by tensor. Frozen tensors may
+    never be registered.
     """
 
     def __init__(self, params: Iterable[Tensor], kind: str = "adam",
@@ -549,32 +602,42 @@ class Optimizer:
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.step_count = 0
         self.params: list[Tensor] = []
-        self._moments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._slices: list[slice] = []  # each parameter's part of the flat arrays
+        end = 0
         for p in params:
             if not p.requires_grad:
                 raise GradientError("frozen tensor passed to Optimizer")
+            if any(p is q for q in self.params):
+                raise GradientError("tensor passed to Optimizer twice")
             self.params.append(p)
+            self._slices.append(slice(end, end + p.size))
+            end += p.size
+        self._m, self._v = np.zeros(end), np.zeros(end)
 
     def step(self):
-        self.step_count += 1
         for p in self.params:
             if p.grad is None:
                 raise GradientError("trainable parameter has no grad; run backward first")
-            g = p.grad
-            if self.kind == "sgd":
-                p.data -= self.lr * g
-            else:
-                key = id(p)
-                if key not in self._moments:
-                    self._moments[key] = (np.zeros_like(p.data), np.zeros_like(p.data))
-                m, v = self._moments[key]
-                m *= self.beta1
-                m += (1 - self.beta1) * g
-                v *= self.beta2
-                v += (1 - self.beta2) * g * g
-                mhat = m / (1 - self.beta1 ** self.step_count)
-                vhat = v / (1 - self.beta2 ** self.step_count)
-                p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            if p.grad.shape != p.data.shape:
+                raise GradientError(f"grad shape {p.grad.shape} does not match "
+                                    f"parameter shape {p.data.shape}")
+        self.step_count += 1
+        if not self.params:
+            return
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        if self.kind == "sgd":
+            update = self.lr * g
+        else:
+            m, v = self._m, self._v
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            mhat = m / (1 - self.beta1 ** self.step_count)
+            vhat = v / (1 - self.beta2 ** self.step_count)
+            update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        for p, s in zip(self.params, self._slices):
+            p.data -= update[s].reshape(p.data.shape)
             p.grad = None
 
 

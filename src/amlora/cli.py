@@ -5,7 +5,7 @@ Verbs:
 * ``run``           -- (method x order x seed) grid of stream runs, CSV out.
 * ``verify-ortho``  -- fixed orthogonality counterexamples plus random study.
 * ``grad-check``    -- finite-difference check of the full gated loss on a
-                       fixed small end-to-end model; reads only ``seed``.
+                       fixed small end-to-end model, seeded by ``--seed``.
 * ``inspect-gates`` -- train once, then dump mean gate distributions per
                        site and eval task.
 * ``report``        -- aggregate an out-dir's metrics.csv into a text table.
@@ -78,12 +78,21 @@ def _build_parser() -> argparse.ArgumentParser:
     orthop.add_argument("--trials", type=int, default=100,
                         help="random-study trials per nonlinearity")
 
-    verb("grad-check", "finite-difference check on a fixed d=8 toy gated "
-         "model; of the config it reads only seed", config=True)
+    gradp = verb("grad-check", "finite-difference check on a fixed d=8 toy "
+                 "gated model")
+    gradp.add_argument("--seed", type=_nonnegative_int, default=0, metavar="N",
+                       help="seed of the toy model and its data (default 0)")
     verb("inspect-gates", "dump mean gate distributions after training",
          config=True, seeds=True)
     verb("report", "aggregate metrics.csv in the out dir")
     return p
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expects a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _out_dir(args) -> str:
@@ -295,8 +304,7 @@ def gradcheck_toy(seed: int = 0) -> float:
 
 
 def _cmd_grad_check(args) -> int:
-    cfg = _effective_config(args)
-    err = gradcheck_toy(cfg["seed"])
+    err = gradcheck_toy(args.seed)
     ok = err < 1e-4
     print(f"{'PASS' if ok else 'FAIL'} grad-check: max relative error "
           f"{err:.3e} (threshold 1e-4)")

@@ -152,6 +152,24 @@ def test_grad_check_passes(tmp_path, capsys):
     assert "PASS grad-check" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--override", "d=64"],
+                                   ["--config", "x.cfg"], ["--seed", "-1"],
+                                   ["--seed", "x"]])
+def test_grad_check_rejects_config_flags_and_bad_seeds(tmp_path, flags):
+    out = tmp_path / "o"
+    assert parse_and_dispatch(["grad-check", "--out-dir", str(out)] + flags) == 1
+    assert not out.exists()
+
+
+def test_grad_check_reads_its_seed(tmp_path, capsys):
+    rc = parse_and_dispatch(["grad-check", "--seed", "3", "--out-dir",
+                             str(tmp_path)])
+    assert rc == 0
+    err3, err0 = gradcheck_toy(3), gradcheck_toy(0)
+    assert f"{err3:.3e}" != f"{err0:.3e}"
+    assert f"max relative error {err3:.3e}" in capsys.readouterr().out
+
+
 def test_gradcheck_toy_error_tiny():
     assert gradcheck_toy(seed=0) < 1e-4
 
