@@ -9,8 +9,8 @@ time (new adapters, new selector heads) need no graph surgery.
 Each training step allocates the tape's activations and frees them again.
 Importing this module therefore sets two glibc malloc options for the whole
 process: freed memory stays mapped for reuse instead of going back to the
-kernel, which would fault it in afresh on the next step. Elsewhere the
-platform allocator is left as it is. Float results do not depend on either.
+kernel, which would fault it in afresh on the next step. Off glibc the
+allocator is left as it is. Float results do not depend on either.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ def _keep_freed_memory_mapped():
     """Serve blocks up to 32 MiB from the heap and never trim it.
 
     Both options are needed: setting either one turns off glibc's dynamic
-    mmap threshold, and its 128 KiB default would then give every eval
-    array of a few MB a fresh ``mmap`` on each forward pass.
+    thresholds and leaves the other at its 128 KiB default, which would
+    trim the heap after each step or give every eval array of a few MB a
+    fresh ``mmap`` on each forward pass.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
