@@ -3,6 +3,8 @@
 Every forward operation that touches a gradient-requiring tensor appends a
 node to a thread-local tape; ``backward`` replays the tape in reverse
 insertion order, which guarantees a single deterministic reduction order.
+The ``no_grad`` depth is per thread too, so a thread that runs forwards for
+an evaluation enters ``no_grad`` itself.
 The tape is rebuilt on every forward pass, so parameter sets that grow over
 time (new adapters, new selector heads) need no graph surgery.
 

@@ -47,11 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sequential low-rank adapter experiments with gated mixing.")
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def verb(name, help_text, config=False, seeds=False):
-        """A subcommand with ``--out-dir`` plus only the flags it reads."""
+    def verb(name, help_text, config=False, seeds=False, out_dir=True):
+        """A subcommand with only the flags it reads."""
         sp = sub.add_parser(name, help=help_text, description=help_text)
-        sp.add_argument("--out-dir", metavar="PATH",
-                        help="output directory (env AMLORA_OUT, else amlora_out)")
+        if out_dir:
+            sp.add_argument("--out-dir", metavar="PATH", help="output "
+                            "directory (env AMLORA_OUT, else amlora_out)")
         if config:
             sp.add_argument("--config", metavar="PATH",
                             help="key=value config file (defaults apply if omitted)")
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="random-study trials per nonlinearity")
 
     gradp = verb("grad-check", "finite-difference check on a fixed d=8 toy "
-                 "gated model")
+                 "gated model", out_dir=False)
     gradp.add_argument("--seed", type=_nonnegative_int, default=0, metavar="N",
                        help="seed of the toy model and its data (default 0)")
     verb("inspect-gates", "dump mean gate distributions after training",
@@ -130,10 +131,10 @@ def _seeds(args, cfg) -> list[int]:
 def _run_cell(cfg: dict, method: str, order: str, seed: int,
               ckpt: str | None = None):
     cell = dict(cfg)
-    cell["method"], cell["order"], cell["seed"] = method, order, seed
+    cell["method"], cell["order"] = method, order
     # The stream is a fixed benchmark keyed by the config's own seed; the
     # run seed only varies training (init, batching, dropout, pretraining).
-    return run_stream(to_stream(cell, seed=cfg["seed"]), to_method_spec(cell),
+    return run_stream(to_stream(cell), to_method_spec(cell),
                       to_model_config(cell), to_train_config(cell), seed,
                       checkpoint_path=ckpt)
 

@@ -136,6 +136,15 @@ class Backbone:
 
     def forward(self, batch, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> Tensor:
+        return ad.linear(self.features(batch, mode, rng), self.classifier_w,
+                         self.classifier_b)
+
+    def features(self, batch, mode: str = "eval",
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """What the classifier reads: the transformer's mean-pooled ``(b, d)``
+        or the mlp's last hidden layer. Every transformer op here works on
+        each example alone, so the features of a slice of the batch are the
+        bytes of the same rows of the whole batch's features."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
@@ -143,10 +152,10 @@ class Backbone:
         if train and drop > 0.0 and rng is None:
             raise ConfigError("train-mode forward with dropout needs an rng")
         if self.config.backbone == "transformer":
-            return self._forward_tokens(batch, drop, rng)
-        return self._forward_features(batch, drop, rng)
+            return self._token_features(batch, drop, rng)
+        return self._dense_features(batch, drop, rng)
 
-    def _forward_tokens(self, batch, drop, rng) -> Tensor:
+    def _token_features(self, batch, drop, rng) -> Tensor:
         ids = np.asarray(batch)
         if ids.ndim != 2:
             raise DimensionError(f"token batch must be 2-d, got shape {ids.shape}")
@@ -170,10 +179,9 @@ class Backbone:
             if drop > 0.0:
                 h2 = ad.dropout(h2, drop, rng)
             x = ad.add(x, h2)
-        pooled = ad.mean_axis(x, axis=1)
-        return ad.linear(pooled, self.classifier_w, self.classifier_b)
+        return ad.mean_axis(x, axis=1)
 
-    def _forward_features(self, batch, drop, rng) -> Tensor:
+    def _dense_features(self, batch, drop, rng) -> Tensor:
         x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
         if x.data.ndim != 2 or x.data.shape[1] != self.config.embed_dim:
             raise DimensionError(
@@ -184,7 +192,7 @@ class Backbone:
             if drop > 0.0:
                 h = ad.dropout(h, drop, rng)
             x = ad.add(x, h)
-        return ad.linear(x, self.classifier_w, self.classifier_b)
+        return x
 
 
 def build_model(config: ModelConfig, seed: int) -> Backbone:

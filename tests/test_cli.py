@@ -146,8 +146,8 @@ def test_verify_ortho_four_pass_lines(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "ortho_summary.txt"))
 
 
-def test_grad_check_passes(tmp_path, capsys):
-    rc = parse_and_dispatch(["grad-check", "--out-dir", str(tmp_path)])
+def test_grad_check_passes(capsys):
+    rc = parse_and_dispatch(["grad-check"])
     assert rc == 0
     assert "PASS grad-check" in capsys.readouterr().out
 
@@ -155,15 +155,16 @@ def test_grad_check_passes(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [["--override", "d=64"],
                                    ["--config", "x.cfg"], ["--seed", "-1"],
                                    ["--seed", "x"]])
-def test_grad_check_rejects_config_flags_and_bad_seeds(tmp_path, flags):
+def test_grad_check_rejects_config_flags_and_bad_seeds(tmp_path, flags,
+                                                      monkeypatch):
     out = tmp_path / "o"
-    assert parse_and_dispatch(["grad-check", "--out-dir", str(out)] + flags) == 1
+    monkeypatch.setenv("AMLORA_OUT", str(out))
+    assert parse_and_dispatch(["grad-check"] + flags) == 1
     assert not out.exists()
 
 
-def test_grad_check_reads_its_seed(tmp_path, capsys):
-    rc = parse_and_dispatch(["grad-check", "--seed", "3", "--out-dir",
-                             str(tmp_path)])
+def test_grad_check_reads_its_seed(capsys):
+    rc = parse_and_dispatch(["grad-check", "--seed", "3"])
     assert rc == 0
     err3, err0 = gradcheck_toy(3), gradcheck_toy(0)
     assert f"{err3:.3e}" != f"{err0:.3e}"

@@ -149,6 +149,7 @@ def test_rotated_gaussian_runs_on_the_mlp(tmp_path):
     ["report", "--config", "x.cfg"],
     ["verify-ortho", "--override", "lr=1"],
     ["grad-check", "--seeds", "1"],
+    ["grad-check", "--seed", "1"],  # grad-check writes no file: no --out-dir
     ["inspect-gates", "--jobs", "2"],
 ])
 def test_verb_rejects_flags_it_does_not_read(tmp_path, argv):
