@@ -112,10 +112,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:  # whether an op records a node
+    return _recording() and any(t.requires_grad for t in inputs)
+
+
 def _make(tag: str, inputs: Sequence[Tensor], data: np.ndarray,
           backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _recording() and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         _state().tape.append(_Node(tag, out, backward_fn))
     return out
@@ -304,12 +308,15 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 # fused ops
 #
 # Each fused op records one tape node in place of a chain of the ops above.
-# It runs the numpy expressions of that chain in the same order, on arrays
-# of the same shapes and memory layouts, and its backward accumulates into
-# each input's ``.grad`` once per contribution, in the order the chain's
-# nodes did. That keeps every forward value and every gradient bit-identical
-# to the chain. Pre-summing contributions, stacking products into one GEMM
-# or flattening a 3-d matmul to 2-d would change the rounding.
+# It runs the chain's numpy expressions in order on arrays of the same
+# shapes and layouts, and its backward adds to each input's ``.grad`` once
+# per contribution in the chain's order, so every value and gradient keeps
+# the chain's bytes; pre-summing, stacking GEMMs or flattening 3-d matmuls
+# would round differently. Three shortcuts keep them too: a row max taken
+# column by column is the same max (exp maps a zero shift of either sign
+# to 1; a row with a NaN uses numpy's max), the zero adapter's logit and
+# head gradient are the +0.0 that BLAS gives for 0 @ a finite head, and a
+# gate or sum written into an adapter's own output is the same operation.
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -385,13 +392,15 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
     ``w_i * ((x @ A_i.T) @ B_i.T) * scale_i`` and the contributions are added
     to ``base`` in order. With ``heads=None`` every weight is 1. Otherwise
     ``heads`` holds n + 1 ``(d_out, 1)`` score columns, head 0 scoring the
-    structural zero adapter whose output is all zeros, and the weights are
+    structural zero adapter whose output and logit are 0, and the weights are
     the softmax over adapters of each output times its head.
 
     Returns the output tensor and the softmax weights ``(..., n + 1)``
     (``None`` without heads). Replaces the per-adapter low-rank chains, the
     per-head score matmuls, concat and softmax, and the index/mul/add mix.
     """
+    inputs = [base, x, *(t for A, B, _ in pairs for t in (A, B)), *(heads or ())]
+    record = _records(inputs)
     xd = x.data
     lows = [xd @ A.data.T for A, _, _ in pairs]
     outs = [low @ B.data.T for low, (_, B, _) in zip(lows, pairs)]
@@ -402,17 +411,19 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
                for A, B, _ in pairs]
     y = None
     if heads is not None:
-        zero = np.zeros(xd.shape[:-1] + (heads[0].data.shape[0],))
-        logits = [zero @ heads[0].data]
-        logits += [o @ h.data for o, h in zip(outs, heads[1:])]
-        y = _softmax_rows(np.concatenate(logits, axis=-1))
+        # column 0 stays the zero adapter's logit, 0 @ heads[0]
+        logits = np.zeros(xd.shape[:-1] + (len(pairs) + 1,))
+        for i, (o, h) in enumerate(zip(outs, heads[1:]), start=1):
+            logits[..., i:i + 1] = o @ h.data
+        y = _softmax_rows(logits)
     gated = bool(pairs) and y is not None and (
         any(out_req) or any(h.requires_grad for h in heads))
     data = base.data
     for i, o in enumerate(outs, start=1):
-        term = o if y is None else y[..., i:i + 1] * o
-        if i == 1:
-            data = data + term  # a fresh array: base.data is never written
+        own = None if record else o  # no node reads o again: write into it
+        term = o if y is None else np.multiply(y[..., i:i + 1], o, out=own)
+        if i == 1:  # a fresh array: base.data is never written
+            data = np.add(data, term, out=own)
         else:
             data += term
 
@@ -434,7 +445,8 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
                     gouts[j - 1] = gouts[j - 1] + \
                         glj @ np.swapaxes(h.data, -1, -2)
                 if h.requires_grad:
-                    _accum(h, _weight_grad(outs[j - 1] if j else zero, glj))
+                    _accum(h, _weight_grad(outs[j - 1], glj) if j
+                           else np.zeros(h.data.shape))
         for i in range(len(pairs) - 1, -1, -1):
             if not out_req[i]:
                 continue
@@ -449,7 +461,6 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
             if A.requires_grad:
                 _accum(A, _weight_grad(xd, glow).T)
 
-    inputs = [base, x, *(t for A, B, _ in pairs for t in (A, B)), *(heads or ())]
     return _make("adapter_bank", inputs, data, bw), y
 
 
@@ -470,7 +481,15 @@ def softmax(t: Tensor) -> Tensor:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=-1, keepdims=True)
+    """Softmax over the last axis of ``x``, into a new array. The row max is
+    taken a column at a time: numpy's per-row ``max`` is slow on short rows.
+    """
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    if np.isnan(m).any():  # numpy's max picks a row's NaN by its position
+        m = x.max(axis=-1, keepdims=True)
+    e = x - m
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

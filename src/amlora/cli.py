@@ -31,8 +31,9 @@ from .atomic import atomic_write
 from .baselines import METHODS, MethodSpec, make_driver
 from .checkpoint import load_checkpoint
 from .configfile import (apply_overrides, config_digest, default_config,
-                         format_config, load_config, to_method_spec,
-                         to_model_config, to_stream, to_train_config)
+                         format_config, load_config, parse_seed,
+                         to_method_spec, to_model_config, to_stream,
+                         to_train_config)
 from .errors import ConfigError
 from .harness import MetricsReport, run_stream
 from .model import ModelConfig, build_model
@@ -81,19 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gradp = verb("grad-check", "finite-difference check on a fixed d=8 toy "
                  "gated model", out_dir=False)
-    gradp.add_argument("--seed", type=_nonnegative_int, default=0, metavar="N",
+    gradp.add_argument("--seed", default="0", metavar="N",
                        help="seed of the toy model and its data (default 0)")
     verb("inspect-gates", "dump mean gate distributions after training",
          config=True, seeds=True)
     verb("report", "aggregate metrics.csv in the out dir")
     return p
-
-
-def _nonnegative_int(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expects a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _out_dir(args) -> str:
@@ -121,11 +115,8 @@ def _effective_config(args) -> dict:
 def _seeds(args, cfg) -> list[int]:
     if args.seeds is None:
         return [cfg["seed"]]
-    items = _parse_csv_list(args.seeds, "seed")
-    try:
-        return [int(s) for s in items]
-    except ValueError:
-        raise ConfigError(f"--seeds expects integers, got {args.seeds!r}")
+    return [parse_seed("--seeds", s)
+            for s in _parse_csv_list(args.seeds, "seed")]
 
 
 def _run_cell(cfg: dict, method: str, order: str, seed: int,
@@ -305,7 +296,7 @@ def gradcheck_toy(seed: int = 0) -> float:
 
 
 def _cmd_grad_check(args) -> int:
-    err = gradcheck_toy(args.seed)
+    err = gradcheck_toy(parse_seed("--seed", args.seed))
     ok = err < 1e-4
     print(f"{'PASS' if ok else 'FAIL'} grad-check: max relative error "
           f"{err:.3e} (threshold 1e-4)")

@@ -20,7 +20,7 @@ from .selector import VARIANTS
 from .tasks import GENERATORS, ORDERS, TaskStream, build_stream
 
 
-def _number(kind, what):
+def _number(kind, what, least=None):
     def conv(key, v):
         try:
             x = kind(v)
@@ -28,11 +28,14 @@ def _number(kind, what):
             raise ConfigError(f"{key} expects {what}, got {v!r}")
         if not math.isfinite(x):
             raise ConfigError(f"{key} expects a finite number, got {v!r}")
+        if least is not None and x < least:
+            raise ConfigError(f"{key} must be >= {least}, got {v!r}")
         return x
     return conv
 
 
 _int, _float = _number(int, "an integer"), _number(float, "a number")
+parse_seed = _number(int, "an integer", least=0)  # also --seeds, --seed
 
 
 def _choice(*options):
@@ -85,7 +88,7 @@ _SCHEMA = {
     "variant": (_choice(*VARIANTS), "AR"),
     "sites": (_sites, ("query", "value")),
     "order": (_choice(*ORDERS), "order1"),
-    "seed": (_int, 0),
+    "seed": (parse_seed, 0),
     "method": (_choice(*METHODS), "amlora"),
     "generator": (_choice(*GENERATORS), "token_signature"),
     "dropout": (_float, 0.1),

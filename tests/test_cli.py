@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from amlora import cli
 from amlora.cli import gradcheck_toy, parse_and_dispatch
 
 # Small enough that a full grid cell trains in well under a second.
@@ -101,6 +102,21 @@ def test_bad_seeds_flag_exit_1(tmp_path, capsys):
                              "--seeds", "0,x"] + _ov())
     assert rc == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,name", [(["--override", "seed=-1"], "seed"),
+                                        (["--seeds", "-1"], "--seeds"),
+                                        (["--seeds", "0,-2"], "--seeds")])
+def test_negative_seed_exit_1_before_any_cell(tmp_path, capsys, monkeypatch,
+                                              flags, name):
+    ran = []
+    monkeypatch.setattr(cli, "_try_cell", ran.append)
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(["run", "--out-dir", str(out)] + flags + _ov())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {name} must be >= 0" in err
+    assert ran == [] and not out.exists()
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):

@@ -160,6 +160,19 @@ def test_apply_gated_is_bit_identical_to_the_op_chain(n, gated, variant,
         assert fused == chain
 
 
+def test_zero_adapter_products_are_positive_zero():
+    # the bank writes the zero adapter's gate logit and its head's gradient
+    # as +0.0; the products of the op chain give +0.0 too, for head and
+    # gradient values of either sign, as the equality above relies on
+    rng = np.random.default_rng(5)
+    zero = np.zeros((3, 5, 6))
+    for sign in (1.0, -1.0):
+        head = sign * np.abs(rng.normal(size=(6, 1)))
+        grad = sign * np.abs(rng.normal(size=(3, 5, 1)))
+        for product in (zero @ head, ad._weight_grad(zero, grad)):
+            assert not product.any() and not np.signbit(product).any()
+
+
 def test_attention_is_bit_identical_to_the_op_chain():
     rng = np.random.default_rng(4)
     b, L, d, nh = 3, 5, 8, 2

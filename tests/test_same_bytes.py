@@ -2,8 +2,8 @@
 bits as the plain expressions they replace.
 
 Every comparison is on int64 views, so a NaN payload or the sign of a zero
-counts. None of these operations calls BLAS, so the equalities hold on any
-BLAS build.
+counts. Only the adapter bank calls BLAS, and its tests compare runs of the
+same products, so the equalities hold on any BLAS build.
 """
 
 import numpy as np
@@ -54,6 +54,31 @@ def test_softmax_rows_matches_the_three_line_expression(seed, shape, scale):
     assert np.array_equal(_bits(x), _bits(keep))  # the input is not written
 
 
+def _three_line_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_softmax_rows_matches_the_three_line_expression_on_special_rows(n):
+    # NaN of either sign, +-0, +-inf, subnormals and huge values at random
+    # places, one all -inf row and one row of zeros of both signs; numpy's
+    # row max picks a NaN by its position, so NaN rows test that choice
+    rng = np.random.default_rng(100 + n)
+    x = rng.normal(scale=30.0, size=(6, 40, n))
+    mask = rng.random(x.shape) < rng.choice([0.05, 0.3, 0.9], size=(6, 1, 1))
+    x[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+    x[0, 0] = -np.inf
+    x[0, 1] = np.where(np.arange(n) % 2, 0.0, -0.0)
+    for view in (x, x[:, ::3]):  # contiguous rows and a strided view
+        keep = view.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = ad._softmax_rows(view), _three_line_softmax(view)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(view), _bits(keep))
+
+
 @pytest.mark.parametrize("rate", [0.1, 0.3, 1 / 3, 0.5, 0.7, 0.999])
 def test_dropout_mask_matches_bool_division(rate):
     shape = (50, 40)
@@ -74,6 +99,43 @@ def test_adapter_bank_leaves_base_unwritten():
         ad.reset_tape()
         assert out.data is not base.data
         assert np.array_equal(_bits(base.data), _bits(keep))
+
+
+def _bank_inputs(n, gated, grad):
+    rng = np.random.default_rng(7 + n)
+    base = Tensor(rng.normal(size=(3, 5, 6)))
+    x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=grad)
+    pairs = [(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(6, 2))),
+              0.5 + i) for i in range(n)]
+    heads = ([Tensor(rng.normal(size=(6, 1))) for _ in range(n + 1)]
+             if gated else None)
+    return base, x, pairs, heads
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("gated", [True, False])
+def test_adapter_bank_gives_the_same_bits_with_and_without_a_node(n, gated):
+    # a recorded node gates into fresh arrays; without one (no_grad, or no
+    # input needs a grad) the bank gates each adapter's output in place
+    runs = []
+    for mode in ("recorded", "no_grad", "no_grad_inputs"):
+        base, x, pairs, heads = _bank_inputs(n, gated, mode != "no_grad_inputs")
+        leaves = [base, x, *(t for A, B, _ in pairs for t in (A, B)),
+                  *(heads or ())]
+        keep = [t.data.copy() for t in leaves]
+        ad.reset_tape()
+        if mode == "no_grad":
+            with ad.no_grad():
+                out, gates = ad.adapter_bank(base, x, pairs, heads)
+        else:
+            out, gates = ad.adapter_bank(base, x, pairs, heads)
+        assert len(ad._state().tape) == (mode == "recorded")
+        ad.reset_tape()
+        for t, k in zip(leaves, keep):  # no input is written
+            assert np.array_equal(_bits(t.data), _bits(k))
+        runs.append((out.data.tobytes(),
+                     None if gates is None else gates.tobytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
