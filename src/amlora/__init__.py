@@ -21,8 +21,8 @@ from .harness import (MetricsReport, TrainConfig, emit_report, evaluate,
 from .model import ModelConfig, build_model
 from .ortho import (counterexample_1d, counterexample_2d, counterexample_nd,
                     random_orthogonality_study)
-from .selector import (AttentionalSelector, gate, mixed_forward, selector_init,
-                       sparsity_loss, trainable_set)
+from .selector import (AttentionalSelector, gate, mixed_forward, sparsity_loss,
+                       trainable_set)
 from .tasks import TaskSpec, TaskStream, build_stream, generate_task
 
 __version__ = "0.1.0"
@@ -39,5 +39,5 @@ __all__ = [
     "load_checkpoint", "load_config", "make_driver", "merged_weight",
     "mixed_forward", "new_adapter", "no_grad", "parse_config",
     "random_orthogonality_study", "run_stream", "save_checkpoint",
-    "selector_init", "sparsity_loss", "train_task", "trainable_set",
+    "sparsity_loss", "train_task", "trainable_set",
 ]

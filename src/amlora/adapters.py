@@ -1,8 +1,8 @@
 """Task-specific low-rank adapter pairs and their per-task lifecycle.
 
 Each adapter holds a pair (B: d_out x r, A: r x d_in) whose effective update
-is (alpha/r) * B @ A. A stack keeps one adapter per task behind a structural
-zero adapter at index 0; only the newest adapter is ever trainable.
+is (alpha/r) * B @ A. A stack keeps one adapter per task; the gate's route 0,
+the base model alone, needs none. Only the newest adapter is ever trainable.
 """
 
 from __future__ import annotations
@@ -18,29 +18,19 @@ DEFAULT_ALPHA = 32.0
 
 
 class LoraAdapter:
-    """One task's low-rank pair; its task is its position in the stack.
-    ``is_zero`` marks the structural zero adapter at position 0."""
+    """One task's low-rank pair; its task is its position in the stack."""
 
-    def __init__(self, A: Tensor | None, B: Tensor | None, rank: int,
-                 alpha: float, is_zero: bool = False,
-                 d_out: int | None = None):
+    def __init__(self, A: Tensor, B: Tensor, rank: int, alpha: float):
         self.A = A
         self.B = B
         self.rank = rank
         self.alpha = float(alpha)
-        self.is_zero = is_zero
-        self.d_out = d_out if d_out is not None else (
-            B.data.shape[0] if B is not None else None)
 
     @property
     def frozen(self) -> bool:
-        if self.is_zero:
-            return True
         return not self.A.requires_grad
 
     def freeze(self):
-        if self.is_zero:
-            return
         self.A.requires_grad = False
         self.B.requires_grad = False
         self.A.grad = None
@@ -51,14 +41,10 @@ class LoraAdapter:
         return self.alpha / self.rank
 
     def param_count(self) -> int:
-        if self.is_zero:
-            return 0
         return self.A.size + self.B.size
 
     def materialized(self) -> np.ndarray:
         """Dense (alpha/r) * B @ A; for export and oracle tests, not the hot path."""
-        if self.is_zero:
-            raise StateError("zero adapter has no materialized update")
         return self.scale * (self.B.data @ self.A.data)
 
 
@@ -73,7 +59,7 @@ def new_adapter(d_out: int, d_in: int, rank: int = DEFAULT_RANK,
     rng = np.random.default_rng(seed)
     A = Tensor(rng.normal(0.0, 0.02, size=(rank, d_in)), requires_grad=True)
     B = Tensor(np.zeros((d_out, rank)), requires_grad=True)
-    return LoraAdapter(A, B, rank, alpha, d_out=d_out)
+    return LoraAdapter(A, B, rank, alpha)
 
 
 def adapter_apply(adapter: LoraAdapter, x: Tensor) -> Tensor:
@@ -82,8 +68,6 @@ def adapter_apply(adapter: LoraAdapter, x: Tensor) -> Tensor:
     The reference path; ``selector.apply_gated`` computes the same values
     for a whole stack in one fused tape node.
     """
-    if adapter.is_zero:
-        return Tensor(np.zeros(x.data.shape[:-1] + (adapter.d_out,)))
     if x.data.shape[-1] != adapter.A.data.shape[1]:
         raise DimensionError(
             f"adapter input dim {x.data.shape[-1]} != d_in {adapter.A.data.shape[1]}")
@@ -93,7 +77,8 @@ def adapter_apply(adapter: LoraAdapter, x: Tensor) -> Tensor:
 
 
 class AdapterStack:
-    """Ordered adapters [zero, task_1, ..., task_n] for one adapted site."""
+    """Task adapters [task_1, ..., task_n] for one site: routes 1..n of the
+    gate, whose route 0 is the base model alone (a constant-zero update)."""
 
     def __init__(self, d_out: int, d_in: int, rank: int = DEFAULT_RANK,
                  alpha: float = DEFAULT_ALPHA):
@@ -101,16 +86,12 @@ class AdapterStack:
         self.d_in = d_in
         self.rank = rank
         self.alpha = float(alpha)
-        self.adapters: list[LoraAdapter] = [
-            LoraAdapter(None, None, rank, alpha, is_zero=True, d_out=d_out)]
+        self.task_adapters: list[LoraAdapter] = []
         self.training_active = False
 
     def __len__(self) -> int:
-        return len(self.adapters)
-
-    @property
-    def task_adapters(self) -> list[LoraAdapter]:
-        return self.adapters[1:]
+        """Number of routes, the zero route included."""
+        return len(self.task_adapters) + 1
 
     def begin_task(self, seed: int) -> LoraAdapter:
         """Freeze all previous adapters and append a fresh trainable one."""
@@ -120,12 +101,13 @@ class AdapterStack:
             a.freeze()
         adapter = new_adapter(self.d_out, self.d_in, self.rank, self.alpha,
                               seed=seed)
-        self.adapters.append(adapter)
+        self.task_adapters.append(adapter)
         return adapter
 
     def outputs(self, x: Tensor) -> list[Tensor]:
-        """Per-adapter contributions [0, dw_1 x, ..., dw_n x]."""
-        return [adapter_apply(a, x) for a in self.adapters]
+        """Per-route contributions [0, dw_1 x, ..., dw_n x]."""
+        zero = Tensor(np.zeros(x.data.shape[:-1] + (self.d_out,)))
+        return [zero] + [adapter_apply(a, x) for a in self.task_adapters]
 
     def param_count(self) -> int:
         return sum(a.param_count() for a in self.task_adapters)

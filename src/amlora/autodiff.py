@@ -314,7 +314,7 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 # the chain's bytes; pre-summing, stacking GEMMs or flattening 3-d matmuls
 # would round differently. Three shortcuts keep them too: a row max taken
 # column by column is the same max (exp maps a zero shift of either sign
-# to 1; a row with a NaN uses numpy's max), the zero adapter's logit and
+# to 1; a row with a NaN uses numpy's max), the zero route's logit and
 # head gradient are the +0.0 that BLAS gives for 0 @ a finite head, and a
 # gate or sum written into an adapter's own output is the same operation.
 
@@ -392,8 +392,8 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
     ``w_i * ((x @ A_i.T) @ B_i.T) * scale_i`` and the contributions are added
     to ``base`` in order. With ``heads=None`` every weight is 1. Otherwise
     ``heads`` holds n + 1 ``(d_out, 1)`` score columns, head 0 scoring the
-    structural zero adapter whose output and logit are 0, and the weights are
-    the softmax over adapters of each output times its head.
+    constant-zero route (no adapter: output and logit 0), and the weights are
+    the softmax over routes of each output times its head.
 
     Returns the output tensor and the softmax weights ``(..., n + 1)``
     (``None`` without heads). Replaces the per-adapter low-rank chains, the
@@ -411,7 +411,7 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
                for A, B, _ in pairs]
     y = None
     if heads is not None:
-        # column 0 stays the zero adapter's logit, 0 @ heads[0]
+        # column 0 stays the zero route's logit, 0 @ heads[0]
         logits = np.zeros(xd.shape[:-1] + (len(pairs) + 1,))
         for i, (o, h) in enumerate(zip(outs, heads[1:]), start=1):
             logits[..., i:i + 1] = o @ h.data

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import AdapterStack
 from .errors import ConfigError
-from .selector import selector_init, sparsity_loss, trainable_set
+from .selector import AttentionalSelector, sparsity_loss, trainable_set
 
 METHODS = ("seqft", "sinlora", "inclora", "amlora", "pertaskft", "mtl")
 
@@ -117,7 +117,7 @@ class SinLoraDriver(Driver):
     def start_stage(self, model, stage, seed):
         params = []
         for site in model.sites.values():
-            a = site.stack.adapters[1]
+            a = site.stack.task_adapters[0]
             params.extend([a.A, a.B])
         return params
 
@@ -132,7 +132,7 @@ class IncLoraDriver(Driver):
         for name, site in model.sites.items():
             site.stack.begin_task(seeds[name])
             site.stack.training_active = True
-            a = site.stack.adapters[-1]
+            a = site.stack.task_adapters[-1]
             params.extend([a.A, a.B])
         return params
 
@@ -147,7 +147,7 @@ class AmLoraDriver(IncLoraDriver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
         for site in model.sites.values():
-            site.selector = selector_init(
+            site.selector = AttentionalSelector(
                 1, site.w0.data.shape[0], self.spec.variant)
 
     def start_stage(self, model, stage, seed):

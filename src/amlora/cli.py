@@ -228,9 +228,9 @@ def _cmd_verify_ortho(args) -> int:
                  and np.array_equal(c2.out_ab, [0.0, 1.0]),
                  f"outputs {c2.out_a.tolist()} vs {c2.out_ab.tolist()}, "
                  f"residual {c2.residual}")
+    nd = [ortho.counterexample_nd(n) for n in ND_SIZES]
     nd_ok = True
-    for n in ND_SIZES:
-        c = ortho.counterexample_nd(n)
+    for n, c in zip(ND_SIZES, nd):
         e1 = np.zeros(n)
         e1[0] = 1.0
         en = np.zeros(n)
@@ -251,8 +251,7 @@ def _cmd_verify_ortho(args) -> int:
     ok &= _check("study", study_ok,
                  f"{args.trials} trials per nonlinearity at n=8, "
                  f"max residual {max(s.max_residual for s in summaries):.2e}")
-    text = ortho.format_summary([c1, c2] + [ortho.counterexample_nd(n)
-                                            for n in ND_SIZES], summaries)
+    text = ortho.format_summary([c1] + nd, summaries)
     print(text, end="")
     ortho.write_ortho_report(trials, text, out_dir)
     print(f"wrote {out_dir}/ortho_report.csv and ortho_summary.txt")

@@ -127,7 +127,7 @@ def evaluate(model: Backbone, data: TaskData, batch: int = 200) -> float:
     classifier works on each example alone, so the logits are the bytes of
     one serial ``forward`` per chunk. The classifier stays one call because
     BLAS picks its kernel by row count; the mlp's layers are such 2-d GEMMs
-    too, so it runs serially.
+    too, so it keeps one part per chunk, and one part starts no thread.
     """
     x, y = data.eval_x, data.eval_y
     if x.shape[0] == 0:
@@ -164,8 +164,6 @@ def _eval_logits(model: Backbone, chunks: list) -> list:
     parts = [np.array_split(c, max(1, min(cpus, c.shape[0] // _MIN_PART_ROWS)))
              for c in chunks]
     k = max(len(p) for p in parts)
-    if k == 1:
-        return [model.forward(c, mode="eval") for c in chunks]
     feats = [[None] * len(p) for p in parts]
     failed: list = [None] * k  # each thread's first failure: (chunk, error)
 

@@ -1,9 +1,9 @@
 """Attention-based gating over a stack of task adapters.
 
-One score head (a d_out vector) per adapter, the zero adapter included.
-Per example (and per position, in sequence models) each adapter output is
-scored by its head, the scores are softmaxed across adapters, and the gated
-sum is added to the base projection. Heads start at zero, so gates start
+One score head (a d_out vector) per route: head 0 scores the constant-zero
+route (the base model alone), head i task adapter i. Per example and position
+each route's output is scored by its head, the scores are softmaxed, and the
+gated sum is added to the base projection. Heads start at zero, so gates start
 exactly uniform. An L1 penalty on the heads makes the gate vector sparse.
 ``apply_gated`` and ``sparsity_loss`` are the training path, one fused tape
 node per site each; ``gate`` with ``AdapterStack.outputs`` is the per-op
@@ -23,7 +23,7 @@ VARIANTS = ("NR", "AR")
 
 
 class AttentionalSelector:
-    """Ordered score heads [w_0, ..., w_n], one per stacked adapter; ``variant``
+    """Ordered score heads [w_0, ..., w_n], one per route; ``variant``
     picks the heads that train. The L1 weight is passed to ``sparsity_loss``."""
 
     def __init__(self, stack_len: int, d_out: int, variant: str = "AR"):
@@ -54,11 +54,6 @@ class AttentionalSelector:
         return sum(h.size for h in self.heads)
 
 
-def selector_init(stack_len: int, d_out: int,
-                  variant: str = "AR") -> AttentionalSelector:
-    return AttentionalSelector(stack_len, d_out, variant)
-
-
 def _require_fresh(selector: AttentionalSelector, n_outputs: int):
     if len(selector.heads) != n_outputs:
         raise StateError(
@@ -67,7 +62,7 @@ def _require_fresh(selector: AttentionalSelector, n_outputs: int):
 
 
 def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor:
-    """Softmax across adapters of per-output head scores; shape (..., n+1)."""
+    """Softmax across routes of per-output head scores; shape (..., n+1)."""
     _require_fresh(selector, len(adapter_outputs))
     logits = [ad.matmul(out, head) for out, head in
               zip(adapter_outputs, selector.heads)]
@@ -80,7 +75,7 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
     """Add the stack's task-adapter outputs to a computed base projection.
 
     With a selector each output is weighted by its gate, the softmax across
-    adapters of the output times its head (the zero adapter scores 0 and
+    routes of the output times its head (the zero route scores 0 and
     adds nothing); without one every weight is 1, the unweighted sum of
     sinlora and inclora. Records one ``adapter_bank`` tape node, whose values
     and gradients equal ``stack.outputs`` + ``gate`` + an
@@ -112,7 +107,7 @@ def mixed_forward(w0: Tensor, stack: AdapterStack,
 
 
 def sparsity_loss(selector: AttentionalSelector, lam: float) -> Tensor:
-    """lam * sum of L1 norms of all heads (zero adapter's head included).
+    """lam * sum of L1 norms of all heads (the zero route's head included).
 
     ``lam`` is the stage's weight from ``MethodSpec``. One ``l1`` tape node
     per selector; none when ``lam`` is 0.
@@ -127,11 +122,11 @@ def trainable_set(selector: AttentionalSelector, stack: AdapterStack) -> list[Te
 
     ``selector.variant`` AR trains every head, NR only the newest. This is the
     only encoding of that rule; drivers set ``requires_grad`` from membership.
-    The zero adapter has no parameters and can never appear here.
+    The zero route has no adapter; only its head can appear here.
     """
     if not stack.training_active:
         raise StateError("trainable_set requires an active task")
-    current = stack.adapters[-1]
+    current = stack.task_adapters[-1]
     params = [current.A, current.B]
     if selector.variant == "AR":
         params.extend(selector.heads)

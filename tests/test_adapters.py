@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from amlora import autodiff as ad
-from amlora.adapters import (AdapterStack, LoraAdapter, adapter_apply,
-                             merged_weight, new_adapter)
+from amlora.adapters import (AdapterStack, adapter_apply, merged_weight,
+                             new_adapter)
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError, StateError
 
@@ -99,23 +99,12 @@ def test_freeze_clears_grad_and_flags():
     assert a.A.grad is None and a.B.grad is None
 
 
-def test_zero_adapter_invariants():
-    z = LoraAdapter(None, None, rank=4, alpha=32.0, is_zero=True, d_out=8)
-    assert z.frozen
-    assert z.param_count() == 0
-    out = adapter_apply(z, Tensor(np.ones((3, 5))))
-    assert out.data.shape == (3, 8)
-    assert np.all(out.data == 0.0)
-    with pytest.raises(StateError):
-        z.materialized()
-
-
 def test_stack_lifecycle():
     stack = AdapterStack(8, 8, rank=2)
     assert len(stack) == 1
-    assert stack.adapters[0].is_zero
+    assert stack.task_adapters == []
     first = stack.begin_task(seed=1)
-    assert len(stack) == 2 and stack.adapters[1] is first
+    assert len(stack) == 2 and stack.task_adapters[0] is first
     assert not first.frozen
     stack.training_active = True
     with pytest.raises(StateError):
@@ -123,7 +112,7 @@ def test_stack_lifecycle():
     stack.training_active = False
     second = stack.begin_task(seed=2)
     assert first.frozen and not second.frozen
-    assert stack.adapters[2] is second
+    assert stack.task_adapters[1] is second
 
 
 def test_stack_outputs_layout():

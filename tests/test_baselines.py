@@ -139,7 +139,7 @@ def test_sinlora_single_persistent_adapter():
     assert [id(t) for t in p0] == [id(t) for t in p1]
     for site in model.sites.values():
         assert len(site.stack.task_adapters) == 1
-        assert not site.stack.adapters[1].frozen
+        assert not site.stack.task_adapters[0].frozen
 
 
 def test_inclora_freezes_previous_stages():
@@ -154,7 +154,7 @@ def test_inclora_freezes_previous_stages():
     assert len(p0) == 2 * len(model.sites)
     train_steps(model, driver, p0, seed=1)
     driver.end_stage(model, 0)
-    first = [site.stack.adapters[1] for site in model.sites.values()]
+    first = [site.stack.task_adapters[0] for site in model.sites.values()]
     first_snap = snapshot([t for a in first for t in (a.A, a.B)])
 
     p1 = driver.start_stage(model, 1, seed=2)
@@ -167,7 +167,7 @@ def test_inclora_freezes_previous_stages():
     assert snapshot([t for _, t in model.base_parameters()]) == base_snap
     # the stage-1 adapters actually moved
     for site in model.sites.values():
-        assert not np.all(site.stack.adapters[2].B.data == 0.0)
+        assert not np.all(site.stack.task_adapters[1].B.data == 0.0)
 
 
 def test_amlora_selector_growth_and_variants():
@@ -206,7 +206,7 @@ def test_amlora_old_adapters_freeze_but_ar_heads_move():
     p0 = driver.start_stage(model, 0, seed=1)
     train_steps(model, driver, p0, seed=1)
     driver.end_stage(model, 0)
-    first = [site.stack.adapters[1] for site in model.sites.values()]
+    first = [site.stack.task_adapters[0] for site in model.sites.values()]
     adapter_snap = snapshot([t for a in first for t in (a.A, a.B)])
     head_snap = snapshot([site.selector.heads[1]
                           for site in model.sites.values()])
@@ -232,8 +232,8 @@ def test_amlora_lambda_schedule_applies_per_stage():
 
 
 def test_amlora_zero_head_gets_zero_grad():
-    # The structural zero adapter contributes a constant zero output, so its
-    # head receives an exactly-zero (but present) gradient.
+    # Head 0 scores the constant-zero route (the base model alone), so it
+    # receives an exactly-zero (but present) gradient.
     model = fresh_model()
     driver = make_driver(MethodSpec("amlora", rank=2, alpha=4.0))
     driver.attach(model, seed=0)

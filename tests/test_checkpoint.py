@@ -27,7 +27,7 @@ def gated_model(n_tasks=2, seed=0):
     for t in range(n_tasks):
         driver.start_stage(model, t, seed=t)
         for site in model.sites.values():
-            a = site.stack.adapters[-1]
+            a = site.stack.task_adapters[-1]
             a.B.data = rng.normal(0.0, 0.2, size=a.B.data.shape)
             for h in site.selector.heads:
                 h.data = rng.normal(0.0, 0.5, size=h.data.shape)

@@ -162,6 +162,17 @@ def test_verify_ortho_four_pass_lines(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "ortho_summary.txt"))
 
 
+def test_verify_ortho_summary_lists_each_case_once(tmp_path):
+    out = str(tmp_path / "o")
+    assert parse_and_dispatch(["verify-ortho", "--out-dir", out,
+                               "--trials", "2"]) == 0
+    with open(os.path.join(out, "ortho_summary.txt"), encoding="utf-8") as f:
+        names = [line.split(":")[0].strip() for line in f
+                 if ": residual=" in line]
+    expected = ["1d-sin"] + [f"{n}d-linear" for n in cli.ND_SIZES]
+    assert names == expected
+
+
 def test_grad_check_passes(capsys):
     rc = parse_and_dispatch(["grad-check"])
     assert rc == 0

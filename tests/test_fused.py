@@ -79,7 +79,7 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
     x = _leaf(rng, shape + (4,))
     base = _leaf(rng, shape + (6,))
     weights = Tensor(rng.normal(size=shape + (6,)))
-    current = stack.adapters[-1]
+    current = stack.task_adapters[-1]
     heads = [] if sel is None else [h for h in sel.heads if h.requires_grad]
     assert all(a.frozen for a in stack.task_adapters[:-1])
 
@@ -161,7 +161,7 @@ def test_apply_gated_is_bit_identical_to_the_op_chain(n, gated, variant,
 
 
 def test_zero_adapter_products_are_positive_zero():
-    # the bank writes the zero adapter's gate logit and its head's gradient
+    # the bank writes the zero route's gate logit and its head's gradient
     # as +0.0; the products of the op chain give +0.0 too, for head and
     # gradient values of either sign, as the equality above relies on
     rng = np.random.default_rng(5)

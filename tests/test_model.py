@@ -8,7 +8,7 @@ from amlora.adapters import AdapterStack, merged_weight
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError
 from amlora.model import ADAPTER_SITES, Backbone, ModelConfig, build_model
-from amlora.selector import selector_init
+from amlora.selector import AttentionalSelector
 
 SMALL = dict(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
              seq_len=6, num_classes=3, dropout_rate=0.0)
@@ -119,7 +119,7 @@ def attach_random_stacks(m, n_tasks=2, rank=2, alpha=4.0, spread=0.3, seed=0,
         for t in range(n_tasks):
             a = stack.begin_task(seed=t)
             a.B.data = rng.normal(0.0, spread, size=a.B.data.shape)
-        site.attach(stack, selector_init(len(stack), site.d_out)
+        site.attach(stack, AttentionalSelector(len(stack), site.d_out)
                     if gated else None)
 
 
@@ -161,7 +161,7 @@ def test_fresh_adapters_do_not_change_forward():
         for site in m.sites.values():
             stack = AdapterStack(site.d_out, site.d_in, rank=2, alpha=4.0)
             stack.begin_task(seed=0)
-            site.attach(stack, selector_init(2, site.d_out) if gated else None)
+            site.attach(stack, AttentionalSelector(2, site.d_out) if gated else None)
         assert np.array_equal(m.forward(ids).data, plain)
 
 

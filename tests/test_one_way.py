@@ -163,7 +163,6 @@ def test_each_value_has_one_owner_and_no_test_only_parameter():
     # ModelConfig's positive ints are listed once, in amlora.model.
     assert not hasattr(selector.AttentionalSelector(1, 4), "lam")
     for fn, name in ((selector.AttentionalSelector, "lam"),
-                     (selector.selector_init, "lam"),
                      (selector.trainable_set, "variant"),
                      (harness.run_stream, "out_dir"),
                      (configfile.parse_config, "base"),
@@ -183,3 +182,12 @@ def test_each_value_has_one_owner_and_no_test_only_parameter():
                 () if name == "tasks.py" else ("task_id",))
             offenders += [(name, w) for w in words if w in text]
     assert offenders == []
+
+
+def test_a_stack_holds_only_its_task_adapters():
+    # the gate's route 0, the base model alone, is head 0 and no object, and
+    # a selector is built by its class
+    assert not hasattr(adapters.new_adapter(8, 8, rank=2), "is_zero")
+    stack = adapters.AdapterStack(8, 8, rank=2)
+    assert not hasattr(stack, "adapters") and len(stack) == 1
+    assert not hasattr(selector, "selector_init")

@@ -8,8 +8,7 @@ from amlora.adapters import AdapterStack
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, StateError
 from amlora.selector import (AttentionalSelector, apply_gated, gate,
-                             mixed_forward, selector_init, sparsity_loss,
-                             trainable_set)
+                             mixed_forward, sparsity_loss, trainable_set)
 
 
 def make_stack(n_tasks, d_out=6, d_in=4, rank=2, alpha=4.0, spread=0.5):
@@ -30,14 +29,14 @@ def test_selector_validation():
 
 
 def test_param_count_per_site():
-    sel = selector_init(5, 32)
+    sel = AttentionalSelector(5, 32)
     assert sel.param_count() == 5 * 32
 
 
 def test_fresh_gates_are_uniform():
     for n in (1, 2, 4):
         stack = make_stack(n)
-        sel = selector_init(len(stack), stack.d_out)
+        sel = AttentionalSelector(len(stack), stack.d_out)
         x = Tensor(np.random.default_rng(n).normal(size=(7, 4)))
         gates = gate(sel, stack.outputs(x))
         assert gates.data.shape == (7, n + 1)
@@ -47,7 +46,7 @@ def test_fresh_gates_are_uniform():
 def test_gate_rows_sum_to_one_fuzzed():
     rng = np.random.default_rng(0)
     stack = make_stack(3)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     for trial in range(50):
         for h in sel.heads:
             h.data = rng.normal(0.0, 2.0, size=h.data.shape)
@@ -58,7 +57,7 @@ def test_gate_rows_sum_to_one_fuzzed():
 
 def test_gate_3d_shapes():
     stack = make_stack(2)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     x = Tensor(np.random.default_rng(5).normal(size=(3, 9, 4)))
     gates = gate(sel, stack.outputs(x))
     assert gates.data.shape == (3, 9, 3)
@@ -66,7 +65,7 @@ def test_gate_3d_shapes():
 
 def test_stale_selector_raises():
     stack = make_stack(2)
-    sel = selector_init(2, stack.d_out)  # one head short
+    sel = AttentionalSelector(2, stack.d_out)  # one head short
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(StateError, match="stale"):
         gate(sel, stack.outputs(x))
@@ -74,7 +73,7 @@ def test_stale_selector_raises():
 
 def test_extend_for_task():
     stack = make_stack(1)
-    sel = selector_init(2, stack.d_out)
+    sel = AttentionalSelector(2, stack.d_out)
     with pytest.raises(StateError):
         sel.extend_for_task(stack)  # already matches
     stack.begin_task(seed=9)
@@ -92,7 +91,7 @@ def test_uniform_gate_reduction():
     rng = np.random.default_rng(2)
     for n in (1, 2, 4):
         stack = make_stack(n)
-        sel = selector_init(len(stack), stack.d_out)
+        sel = AttentionalSelector(len(stack), stack.d_out)
         x = Tensor(rng.normal(size=(8, 4)))
         w0 = Tensor(rng.normal(size=(stack.d_out, 4)))
         got = mixed_forward(w0, stack, sel, x).data
@@ -105,7 +104,7 @@ def test_uniform_gate_reduction():
 def test_mixed_forward_matches_numpy_oracle():
     rng = np.random.default_rng(3)
     stack = make_stack(3)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     for h in sel.heads:
         h.data = rng.normal(0.0, 1.0, size=h.data.shape)
     x = Tensor(rng.normal(size=(5, 4)))
@@ -126,7 +125,7 @@ def test_mixed_forward_matches_numpy_oracle():
 
 def test_capture_exposes_gates():
     stack = make_stack(2)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     x = Tensor(np.random.default_rng(7).normal(size=(4, 4)))
     cap = {}
     apply_gated(Tensor(np.zeros((4, stack.d_out))), stack, sel, x, capture=cap)
@@ -135,14 +134,14 @@ def test_capture_exposes_gates():
 
 
 def test_sparsity_loss_exact_value():
-    sel = selector_init(2, 3)
+    sel = AttentionalSelector(2, 3)
     sel.heads[0].data = np.array([[1.0], [-2.0], [0.0]])
     sel.heads[1].data = np.array([[0.5], [0.0], [4.0]])
     assert sparsity_loss(sel, 0.5).data == 0.5 * (3.0 + 4.5)
 
 
 def test_sparsity_loss_off_when_lambda_zero():
-    sel = selector_init(2, 3)
+    sel = AttentionalSelector(2, 3)
     sel.heads[0].data = np.ones((3, 1))
     out = sparsity_loss(sel, 0.0)
     assert out.data == 0.0
@@ -150,7 +149,7 @@ def test_sparsity_loss_off_when_lambda_zero():
 
 
 def test_sparsity_subgradient_zero_at_zero():
-    sel = selector_init(2, 3)
+    sel = AttentionalSelector(2, 3)
     loss = sparsity_loss(sel, 0.7)
     ad.backward(loss)
     for h in sel.heads:
@@ -158,7 +157,7 @@ def test_sparsity_subgradient_zero_at_zero():
 
 
 def test_sparsity_gradient_is_scaled_sign():
-    sel = selector_init(1, 3)
+    sel = AttentionalSelector(1, 3)
     sel.heads[0].data = np.array([[2.0], [-3.0], [0.0]])
     ad.backward(sparsity_loss(sel, 0.25))
     assert np.array_equal(sel.heads[0].grad, 0.25 * np.array([[1.0], [-1.0], [0.0]]))
@@ -166,11 +165,11 @@ def test_sparsity_gradient_is_scaled_sign():
 
 def test_trainable_set_variants():
     stack = make_stack(3)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     with pytest.raises(StateError):
         trainable_set(sel, stack)
     stack.training_active = True
-    current = stack.adapters[-1]
+    current = stack.task_adapters[-1]
 
     sel.variant = "NR"
     nr = trainable_set(sel, stack)
@@ -184,7 +183,7 @@ def test_trainable_set_variants():
 def test_gated_forward_grads_match_finite_difference():
     rng = np.random.default_rng(11)
     stack = make_stack(2, spread=0.2)
-    sel = selector_init(len(stack), stack.d_out)
+    sel = AttentionalSelector(len(stack), stack.d_out)
     for h in sel.heads:
         h.data = rng.normal(0.0, 0.3, size=h.data.shape)
     x = Tensor(rng.normal(size=(4, 4)))
