@@ -64,8 +64,7 @@ def _site_seeds(seed: int, site_names) -> dict:
 def _attach_stacks(model, spec: MethodSpec):
     model.set_base_trainable(False)
     for site in model.sites.values():
-        d_out, d_in = site.w0.data.shape
-        site.stack = AdapterStack(d_out, d_in, spec.rank, spec.alpha)
+        site.stack = AdapterStack(site.d_out, site.d_in, spec.rank, spec.alpha)
 
 
 class Driver:
@@ -147,8 +146,7 @@ class AmLoraDriver(IncLoraDriver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
         for site in model.sites.values():
-            site.selector = AttentionalSelector(
-                1, site.w0.data.shape[0], self.spec.variant)
+            site.selector = AttentionalSelector(1, site.d_out, self.spec.variant)
 
     def start_stage(self, model, stage, seed):
         super().start_stage(model, stage, seed)

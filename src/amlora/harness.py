@@ -89,7 +89,7 @@ class MetricsReport:
         return float(np.mean(f)) if f else 0.0
 
 
-def train_task(model: Backbone, optimizer: Optimizer | None, x: np.ndarray,
+def train_task(model: Backbone, optimizer: Optimizer, x: np.ndarray,
                y: np.ndarray, cfg: TrainConfig, rng: np.random.Generator,
                extra_loss_fn=None) -> int:
     """Epochs of shuffled minibatch steps; returns the step count."""
@@ -110,8 +110,7 @@ def train_task(model: Backbone, optimizer: Optimizer | None, x: np.ndarray,
                 ad.reset_tape()
                 raise StateError(f"non-finite loss at step {step}")
             ad.backward(loss)
-            if optimizer is not None:
-                optimizer.step()
+            optimizer.step()
             step += 1
     return step
 
@@ -191,8 +190,7 @@ def _eval_logits(model: Backbone, chunks: list) -> list:
     first = min(((f[0], j) for j, f in enumerate(failed) if f), default=None)
     if first is not None:  # the error a serial loop would have met first
         raise failed[first[1]][1]
-    return [ad.linear(Tensor(np.concatenate(f)), model.classifier_w,
-                      model.classifier_b) for f in feats]
+    return [model.classifier.forward(Tensor(np.concatenate(f))) for f in feats]
 
 
 def _overhead_counts(model: Backbone, report: MetricsReport):
@@ -262,8 +260,7 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
                                   train_cfg, pretrain_seed)
             driver.attach(model, attach_seed)
         params = driver.start_stage(model, stage, stage_seeds[stage])
-        opt = Optimizer(params, kind=train_cfg.optimizer,
-                        lr=train_cfg.lr) if params else None
+        opt = Optimizer(params, kind=train_cfg.optimizer, lr=train_cfg.lr)
         if driver.union_training:
             tx, ty = union_x, union_y
         else:

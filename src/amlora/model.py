@@ -1,16 +1,16 @@
 """Desk-scale classifier backbones with named adapter attachment points.
 
 Two backbones share one interface: a tiny transformer encoder over integer
-token ids and an MLP over dense feature vectors. Selected linear projections
-(query/key/value/output/ffn) are ``AdaptedLinear`` slots that can host an
-adapter stack and a selector; without an attached stack they behave as plain
-frozen linears. Init is Gaussian(0, 0.02) for weights and zeros for biases,
-fully determined by (config, seed).
+token ids and an MLP over dense feature vectors. Every projection, the
+classifier too, is an ``AdaptedLinear``; those named in ``adapter_sites``
+are sites that can host an adapter stack and a selector, and without a
+stack a linear is a plain frozen one. Init is Gaussian(0, 0.02) for
+weights and zeros for biases, fully determined by (config, seed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,18 +59,15 @@ class ModelConfig:
         if self.backbone == "mlp" and set(self.adapter_sites) != {"ffn"}:
             raise ConfigError("mlp backbone only supports adapter_sites={'ffn'}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
 
 class AdaptedLinear:
     """A frozen base projection plus an optional adapter stack and selector.
 
-    What is attached picks the forward: no stack runs the plain base (one
-    ``linear`` node); a stack adds its task adapters to the base through
-    ``apply_gated`` (one ``adapter_bank`` node), gate-weighted when a
-    selector is attached and unweighted when not.
+    ``name`` prefixes its parameter names (``{name}.w``, ``{name}.b``) and
+    keys it in ``Backbone.sites``. What is attached picks the forward: no
+    stack runs the plain base (one ``linear`` node); a stack adds its task
+    adapters to the base through ``apply_gated`` (one ``adapter_bank``
+    node), gate-weighted when a selector is attached and unweighted when not.
     """
 
     def __init__(self, name: str, w0: Tensor, bias: Tensor):
@@ -89,14 +86,6 @@ class AdaptedLinear:
     def d_in(self) -> int:
         return self.w0.data.shape[1]
 
-    def attach(self, stack: AdapterStack, selector: AttentionalSelector | None = None):
-        if stack.d_out != self.d_out or stack.d_in != self.d_in:
-            raise DimensionError(
-                f"stack ({stack.d_out}, {stack.d_in}) does not fit site "
-                f"{self.name} ({self.d_out}, {self.d_in})")
-        self.stack = stack
-        self.selector = selector
-
     def forward(self, x: Tensor) -> Tensor:
         base = ad.linear(x, self.w0, self.bias)
         if self.stack is None:
@@ -109,24 +98,18 @@ class AdaptedLinear:
 class Backbone:
     config: ModelConfig
     embedding: Tensor | None
-    layers: list[dict]
-    classifier_w: Tensor
-    classifier_b: Tensor
-    sites: dict[str, AdaptedLinear] = field(default_factory=dict)
+    layers: list[dict[str, AdaptedLinear]]
+    classifier: AdaptedLinear
+    sites: dict[str, AdaptedLinear]
 
     def base_parameters(self) -> list[tuple[str, Tensor]]:
         params: list[tuple[str, Tensor]] = []
         if self.embedding is not None:
             params.append(("embedding", self.embedding))
-        for i, layer in enumerate(self.layers):
-            for key, val in layer.items():
-                if isinstance(val, AdaptedLinear):
-                    params.append((f"layers.{i}.{key}.w", val.w0))
-                    params.append((f"layers.{i}.{key}.b", val.bias))
-                else:
-                    params.append((f"layers.{i}.{key}", val))
-        params.append(("classifier.w", self.classifier_w))
-        params.append(("classifier.b", self.classifier_b))
+        lins = [lin for layer in self.layers for lin in layer.values()]
+        for lin in lins + [self.classifier]:
+            params.append((f"{lin.name}.w", lin.w0))
+            params.append((f"{lin.name}.b", lin.bias))
         return params
 
     def set_base_trainable(self, flag: bool):
@@ -136,8 +119,7 @@ class Backbone:
 
     def forward(self, batch, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> Tensor:
-        return ad.linear(self.features(batch, mode, rng), self.classifier_w,
-                         self.classifier_b)
+        return self.classifier.forward(self.features(batch, mode, rng))
 
     def features(self, batch, mode: str = "eval",
                  rng: np.random.Generator | None = None) -> Tensor:
@@ -175,7 +157,7 @@ class Backbone:
                 out = ad.dropout(out, drop, rng)
             x = ad.add(x, out)
             h1 = ad.relu(layer["ffn"].forward(x))
-            h2 = ad.linear(h1, layer["ffn2.w"], layer["ffn2.b"])
+            h2 = layer["ffn2"].forward(h1)
             if drop > 0.0:
                 h2 = ad.dropout(h2, drop, rng)
             x = ad.add(x, h2)
@@ -201,14 +183,9 @@ def build_model(config: ModelConfig, seed: int) -> Backbone:
     rng = np.random.default_rng(seed)
     d = config.embed_dim
 
-    def weight(dout, din):
-        return Tensor(rng.normal(0.0, 0.02, size=(dout, din)))
-
-    def bias(dout):
-        return Tensor(np.zeros(dout))
-
     def linear(name, dout, din):
-        return AdaptedLinear(name, weight(dout, din), bias(dout))
+        w = Tensor(rng.normal(0.0, 0.02, size=(dout, din)))
+        return AdaptedLinear(name, w, Tensor(np.zeros(dout)))
 
     layers: list[dict] = []
     embedding = None
@@ -222,19 +199,13 @@ def build_model(config: ModelConfig, seed: int) -> Backbone:
                 "value": linear(f"layers.{i}.value", d, d),
                 "output": linear(f"layers.{i}.output", d, d),
                 "ffn": linear(f"layers.{i}.ffn", hidden, d),
-                "ffn2.w": weight(d, hidden),
-                "ffn2.b": bias(d),
+                "ffn2": linear(f"layers.{i}.ffn2", d, hidden),
             })
     else:
         for i in range(config.num_layers):
             layers.append({"ffn": linear(f"layers.{i}.ffn", d, d)})
-    classifier_w = weight(config.num_classes, d)
-    classifier_b = bias(config.num_classes)
-
-    model = Backbone(config, embedding, layers, classifier_w, classifier_b)
-    for i, layer in enumerate(layers):
-        for site_name in ADAPTER_SITES:
-            if site_name in config.adapter_sites and site_name in layer:
-                model.sites[f"layers.{i}.{site_name}"] = layer[site_name]
-    return model
+    classifier = linear("classifier", config.num_classes, d)
+    sites = {lin.name: lin for layer in layers for key, lin in layer.items()
+             if key in config.adapter_sites}
+    return Backbone(config, embedding, layers, classifier, sites)
 

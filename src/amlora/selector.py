@@ -37,9 +37,6 @@ class AttentionalSelector:
             Tensor(np.zeros((d_out, 1)), requires_grad=True)
             for _ in range(stack_len)]
 
-    def __len__(self) -> int:
-        return len(self.heads)
-
     def extend_for_task(self, stack: AdapterStack):
         """Append one zero-initialized head after the stack grew by one."""
         if len(self.heads) == len(stack):

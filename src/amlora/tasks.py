@@ -184,16 +184,12 @@ def build_stream(num_tasks: int = 4, num_classes: int = 4,
     """Stream of per-task specs, permuted by one of the built-in orders."""
     if train_per_task % num_classes or eval_per_task % num_classes:
         raise ConfigError("per-task sample counts must divide by num_classes")
-    if order in ORDERS:
-        perm = ORDERS[order]
-        if num_tasks != len(perm):
-            if num_tasks < len(perm):
-                perm = tuple(i for i in perm if i < num_tasks)
-            else:
-                raise ConfigError(
-                    f"{order} is defined for {len(perm)} tasks, got {num_tasks}")
-    else:
+    if order not in ORDERS:
         raise ConfigError(f"unknown order {order!r} (choose from {sorted(ORDERS)})")
+    if num_tasks > len(ORDERS[order]):
+        raise ConfigError(
+            f"{order} is defined for {len(ORDERS[order])} tasks, got {num_tasks}")
+    perm = tuple(i for i in ORDERS[order] if i < num_tasks)
     task_seeds = [int(ss.generate_state(1)[0])
                   for ss in np.random.SeedSequence(seed).spawn(num_tasks + 1)]
     specs = []

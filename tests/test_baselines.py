@@ -179,7 +179,7 @@ def test_amlora_selector_growth_and_variants():
         assert all(s.stack is not None and s.selector is not None
                    for s in model.sites.values())
         for site in model.sites.values():
-            assert len(site.selector) == 1
+            assert len(site.selector.heads) == 1
 
         p0 = driver.start_stage(model, 0, seed=1)
         train_steps(model, driver, p0, seed=1)

@@ -74,14 +74,14 @@ def test_train_task_step_count_and_zero_lr():
 def test_train_task_rejects_non_finite_loss():
     model = build_model(MODEL, seed=0)
     model.set_base_trainable(True)
-    model.classifier_w.data[:] = np.inf
+    model.classifier.w0.data[:] = np.inf
     data = generate_task(small_stream().tasks[0])
     params = [p for _, p in model.base_parameters()]
     with pytest.raises(StateError, match="non-finite"):
         train_task(model, Optimizer(params, lr=1e-2), data.train_x,
                    data.train_y, TrainConfig(), np.random.default_rng(0))
     # The tape was reset, so a clean forward/backward still works.
-    model.classifier_w.data[:] = 0.0
+    model.classifier.w0.data[:] = 0.0
     loss = ad.cross_entropy(model.forward(data.train_x[:4], mode="train"),
                             data.train_y[:4])
     ad.backward(loss)
@@ -114,8 +114,8 @@ def test_fresh_model_accuracy_near_chance():
 
 def test_evaluate_breaks_ties_toward_lowest_class():
     model = build_model(MODEL, seed=0)
-    model.classifier_w.data[:] = 0.0
-    model.classifier_b.data[:] = 0.0
+    model.classifier.w0.data[:] = 0.0
+    model.classifier.bias.data[:] = 0.0
     data = generate_task(small_stream().tasks[0])
     # all logits identical -> every prediction is class 0 -> exactly 1/4
     assert evaluate(model, data) == 0.25

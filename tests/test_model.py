@@ -36,7 +36,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(backbone="mlp", adapter_sites=("query",)).validate()
     ModelConfig(backbone="mlp", adapter_sites=("ffn",)).validate()
-    assert ModelConfig().head_dim == 8
 
 
 def test_build_is_deterministic():
@@ -52,7 +51,7 @@ def test_init_distribution():
     w = m.layers[0]["query"].w0.data
     assert abs(w.std() - 0.02) < 0.006
     assert np.all(m.layers[0]["query"].bias.data == 0.0)
-    assert np.all(m.classifier_b.data == 0.0)
+    assert np.all(m.classifier.bias.data == 0.0)
 
 
 def test_default_base_param_count():
@@ -106,8 +105,8 @@ def test_single_layer_attention_numpy_oracle():
     ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(b, L, d)
     x = x + lin(layer["output"], ctx)
     h = np.maximum(lin(layer["ffn"], x), 0.0)
-    x = x + h @ layer["ffn2.w"].data.T + layer["ffn2.b"].data
-    expect = x.mean(axis=1) @ m.classifier_w.data.T + m.classifier_b.data
+    x = x + h @ layer["ffn2"].w0.data.T + layer["ffn2"].bias.data
+    expect = x.mean(axis=1) @ m.classifier.w0.data.T + m.classifier.bias.data
     assert np.max(np.abs(got - expect)) < 1e-12
 
 
@@ -119,8 +118,9 @@ def attach_random_stacks(m, n_tasks=2, rank=2, alpha=4.0, spread=0.3, seed=0,
         for t in range(n_tasks):
             a = stack.begin_task(seed=t)
             a.B.data = rng.normal(0.0, spread, size=a.B.data.shape)
-        site.attach(stack, AttentionalSelector(len(stack), site.d_out)
-                    if gated else None)
+        site.stack = stack
+        site.selector = (AttentionalSelector(len(stack), site.d_out)
+                         if gated else None)
 
 
 def test_base_rule_ignores_attached_stacks():
@@ -161,7 +161,8 @@ def test_fresh_adapters_do_not_change_forward():
         for site in m.sites.values():
             stack = AdapterStack(site.d_out, site.d_in, rank=2, alpha=4.0)
             stack.begin_task(seed=0)
-            site.attach(stack, AttentionalSelector(2, site.d_out) if gated else None)
+            site.stack = stack
+            site.selector = AttentionalSelector(2, site.d_out) if gated else None
         assert np.array_equal(m.forward(ids).data, plain)
 
 

@@ -191,3 +191,24 @@ def test_a_stack_holds_only_its_task_adapters():
     stack = adapters.AdapterStack(8, 8, rank=2)
     assert not hasattr(stack, "adapters") and len(stack) == 1
     assert not hasattr(selector, "selector_init")
+
+
+@pytest.mark.parametrize("cfg", [
+    model.ModelConfig(vocab_size=16, embed_dim=8, num_layers=2, num_heads=2,
+                      seq_len=4),
+    model.ModelConfig(backbone="mlp", embed_dim=8, num_layers=2,
+                      adapter_sites=("ffn",))])
+def test_every_projection_is_an_adapted_linear_that_owns_its_names(cfg):
+    # each linear's name is the one source of its parameter names, and a
+    # site is wired by assigning its stack and selector
+    m = model.build_model(cfg, seed=0)
+    lins = [lin for layer in m.layers for lin in layer.values()]
+    lins.append(m.classifier)
+    assert all(isinstance(lin, model.AdaptedLinear) for lin in lins)
+    names = ["embedding"] if cfg.backbone == "transformer" else []
+    for lin in lins:
+        names += [f"{lin.name}.w", f"{lin.name}.b"]
+    assert [n for n, _ in m.base_parameters()] == names
+    assert not hasattr(model.AdaptedLinear, "attach")
+    assert not hasattr(m, "classifier_w")
+    assert not hasattr(model.ModelConfig, "head_dim")

@@ -97,8 +97,8 @@ def test_features_of_any_window_equal_the_rows_of_the_whole_batch(method,
             part = model.features(x[s:s + w]).data
             assert np.array_equal(_bits(part), _bits(whole[s:s + w])), (s, w)
         logits = model.forward(x).data
-        again = ad.linear(ad.Tensor(whole), model.classifier_w,
-                          model.classifier_b).data
+        again = ad.linear(ad.Tensor(whole), model.classifier.w0,
+                          model.classifier.bias).data
     assert np.array_equal(_bits(logits), _bits(again))
 
 

@@ -78,7 +78,7 @@ def test_extend_for_task():
         sel.extend_for_task(stack)  # already matches
     stack.begin_task(seed=9)
     sel.extend_for_task(stack)
-    assert len(sel) == 3
+    assert len(sel.heads) == 3
     assert np.all(sel.heads[-1].data == 0.0)
     stack.begin_task(seed=10)
     stack.begin_task(seed=11)
