@@ -600,6 +600,8 @@ def reset_tape():
 # ---------------------------------------------------------------------------
 # optimizers
 
+OPTIMIZERS = ("adam", "sgd")
+
 
 class Optimizer:
     """SGD / Adam over an explicit set of trainable tensors, in one flat update.
@@ -615,7 +617,7 @@ class Optimizer:
 
     def __init__(self, params: Iterable[Tensor], kind: str = "adam",
                  lr: float = 1e-4):
-        if kind not in ("sgd", "adam"):
+        if kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         if lr < 0:
             raise ValueError("learning rate must be non-negative")

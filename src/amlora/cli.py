@@ -28,16 +28,16 @@ import numpy as np
 from . import autodiff as ad
 from . import ortho
 from .atomic import atomic_write
-from .baselines import METHODS, MethodSpec, make_driver
+from .baselines import MethodSpec, make_driver
 from .checkpoint import load_checkpoint
-from .configfile import (apply_overrides, config_digest, default_config,
-                         format_config, load_config, parse_seed,
-                         to_method_spec, to_model_config, to_stream,
-                         to_train_config)
+from .configfile import (apply_overrides, check_config, config_digest,
+                         default_config, format_config, load_config,
+                         parse_value, to_method_spec, to_model_config,
+                         to_stream, to_train_config)
 from .errors import ConfigError
 from .harness import MetricsReport, run_stream
 from .model import ModelConfig, build_model
-from .tasks import ORDERS, generate_task
+from .tasks import generate_task
 
 ND_SIZES = (2, 3, 4, 8, 16)
 
@@ -94,29 +94,21 @@ def _out_dir(args) -> str:
     return args.out_dir or os.environ.get("AMLORA_OUT") or "amlora_out"
 
 
-def _parse_csv_list(text: str, what: str, valid=None) -> list[str]:
+def _parse_csv_list(text: str | None, key: str, flag: str, cfg: dict) -> list:
+    """Each item parsed as config ``key``; the config's value if no flag."""
+    if text is None:
+        return [cfg[key]]
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
-        raise ConfigError(f"{what} list is empty")
-    if valid is not None:
-        bad = [s for s in items if s not in valid]
-        if bad:
-            raise ConfigError(f"unknown {what} {bad[0]!r}")
-    return items
+        raise ConfigError(f"{key} list is empty")
+    return [parse_value(key, s, flag) for s in items]
 
 
 def _effective_config(args) -> dict:
     cfg = default_config()
     if args.config:
         cfg = load_config(args.config)
-    return apply_overrides(cfg, args.override)
-
-
-def _seeds(args, cfg) -> list[int]:
-    if args.seeds is None:
-        return [cfg["seed"]]
-    return [parse_seed("--seeds", s)
-            for s in _parse_csv_list(args.seeds, "seed")]
+    return check_config(apply_overrides(cfg, args.override))
 
 
 def _run_cell(cfg: dict, method: str, order: str, seed: int,
@@ -163,11 +155,9 @@ def _overhead_text(reports) -> str:
 def _cmd_run(args) -> int:
     cfg = _effective_config(args)
     out_dir = _out_dir(args)
-    seeds = _seeds(args, cfg)
-    methods = (_parse_csv_list(args.methods, "method", METHODS)
-               if args.methods is not None else [cfg["method"]])
-    orders = (_parse_csv_list(args.orders, "order", tuple(ORDERS))
-              if args.orders is not None else [cfg["order"]])
+    seeds = _parse_csv_list(args.seeds, "seed", "--seeds", cfg)
+    methods = _parse_csv_list(args.methods, "method", "--methods", cfg)
+    orders = _parse_csv_list(args.orders, "order", "--orders", cfg)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     grid = [(m, o, s) for m in methods for o in orders for s in seeds]
@@ -295,7 +285,7 @@ def gradcheck_toy(seed: int = 0) -> float:
 
 
 def _cmd_grad_check(args) -> int:
-    err = gradcheck_toy(parse_seed("--seed", args.seed))
+    err = gradcheck_toy(parse_value("seed", args.seed, "--seed"))
     ok = err < 1e-4
     print(f"{'PASS' if ok else 'FAIL'} grad-check: max relative error "
           f"{err:.3e} (threshold 1e-4)")
@@ -305,7 +295,7 @@ def _cmd_grad_check(args) -> int:
 def _cmd_inspect_gates(args) -> int:
     cfg = _effective_config(args)
     out_dir = _out_dir(args)
-    seeds = _seeds(args, cfg)
+    seeds = _parse_csv_list(args.seeds, "seed", "--seeds", cfg)
     if len(seeds) != 1:
         raise ConfigError(f"--seeds takes one seed for inspect-gates "
                           f"(gates.csv has no seed column), got {args.seeds!r}")
@@ -386,10 +376,7 @@ def parse_and_dispatch(argv) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -2,20 +2,25 @@
 
 A config is a plain dict with a fixed key set; unknown keys are rejected by
 name so typos fail loudly. ``_SCHEMA`` is the one place a key, its parser
-and its default are defined. ``lambda`` accepts a single float or a
-comma-separated per-task schedule. The digest is a sha256 over the canonical
-serialization, so two runs with the same digest ran the same configuration.
+and its default are defined; a parser checks type, finiteness, choice and
+the seed's sign. Every other range rule lives with the object that reads
+the value, and ``check_config`` builds those objects once. ``lambda``
+accepts a single float or a comma-separated per-task schedule. The digest
+is a sha256 over the canonical serialization, so two runs with the same
+digest ran the same configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 
+from .autodiff import OPTIMIZERS
 from .baselines import METHODS, MethodSpec, check_lambda
 from .errors import ConfigError
 from .harness import TrainConfig
-from .model import ADAPTER_SITES, ModelConfig
+from .model import BACKBONES, ModelConfig, check_sites
 from .selector import VARIANTS
 from .tasks import GENERATORS, ORDERS, TaskStream, build_stream
 
@@ -35,7 +40,6 @@ def _number(kind, what, least=None):
 
 
 _int, _float = _number(int, "an integer"), _number(float, "a number")
-parse_seed = _number(int, "an integer", least=0)  # also --seeds, --seed
 
 
 def _choice(*options):
@@ -57,19 +61,14 @@ def _lambda(key, v):
 
 def _sites(key, v):
     parts = tuple(p.strip() for p in str(v).split(",") if p.strip())
-    bad = set(parts) - set(ADAPTER_SITES)
-    if bad:
-        raise ConfigError(f"sites contains unknown names {sorted(bad)}; "
-                          f"valid sites are {ADAPTER_SITES}")
-    if not parts:
-        raise ConfigError("sites must name at least one adapter site")
+    check_sites(parts)
     return parts
 
 
 # key -> (parser, default); the TrainConfig, ModelConfig, MethodSpec and
 # build_stream defaults equal these values.
 _SCHEMA = {
-    "backbone": (_choice("transformer", "mlp"), "transformer"),
+    "backbone": (_choice(*BACKBONES), "transformer"),
     "d": (_int, 32),
     "layers": (_int, 2),
     "heads": (_int, 4),
@@ -88,13 +87,13 @@ _SCHEMA = {
     "variant": (_choice(*VARIANTS), "AR"),
     "sites": (_sites, ("query", "value")),
     "order": (_choice(*ORDERS), "order1"),
-    "seed": (parse_seed, 0),
+    "seed": (_number(int, "an integer", least=0), 0),
     "method": (_choice(*METHODS), "amlora"),
     "generator": (_choice(*GENERATORS), "token_signature"),
     "dropout": (_float, 0.1),
     "p_sig": (_float, 0.4),
     "sig_tokens": (_int, 6),
-    "optimizer": (_choice("adam", "sgd"), "adam"),
+    "optimizer": (_choice(*OPTIMIZERS), "adam"),
     "pretrain_epochs": (_int, 3),
     "pretrain_lr": (_float, 1e-3),
 }
@@ -104,11 +103,16 @@ def default_config() -> dict:
     return {key: default for key, (_, default) in _SCHEMA.items()}
 
 
-def set_key(cfg: dict, key: str, value: str):
-    """Parse and set one key, rejecting unknown names."""
+def parse_value(key: str, value: str, name: str | None = None):
+    """``value`` parsed as config ``key``; errors name ``name``, else key."""
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    cfg[key] = _SCHEMA[key][0](key, value)
+    return _SCHEMA[key][0](name or key, value)
+
+
+def set_key(cfg: dict, key: str, value: str):
+    """Parse and set one key, rejecting unknown names."""
+    cfg[key] = parse_value(key, value)
 
 
 def parse_config(text: str) -> dict:
@@ -194,3 +198,25 @@ def to_stream(cfg: dict, seed: int | None = None) -> TaskStream:
         vocab=cfg["vocab"], seq_len=cfg["seq_len"], dim=cfg["d"],
         seed=cfg["seed"] if seed is None else seed, order=cfg["order"],
         p_sig=cfg["p_sig"], sig_tokens_per_class=cfg["sig_tokens"])
+
+
+# owner argument name -> config key, for the messages of check_config
+_KEY_OF = {"embed_dim": "d", "num_heads": "heads", "num_layers": "layers",
+           "vocab_size": "vocab", "num_classes": "classes", "num_tasks": "tasks",
+           "dropout_rate": "dropout", "adapter_sites": "sites", "dim": "d",
+           "sig_tokens_per_class": "sig_tokens"}
+_OWNER_NAME = re.compile(r"\b(" + "|".join(_KEY_OF) + r")\b")
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg``, once every object a grid cell builds from it accepts it (task
+    specs, no data); else a ``ConfigError`` that names config keys."""
+    try:
+        to_model_config(cfg).validate()
+        to_train_config(cfg).validate()
+        to_method_spec(cfg)
+        to_stream(cfg)
+    except ConfigError as exc:
+        raise ConfigError(_OWNER_NAME.sub(lambda m: _KEY_OF[m.group()],
+                                          str(exc))) from None
+    return cfg

@@ -43,15 +43,12 @@ class TrainConfig:
     pretrain_lr: float = 1e-3
 
     def validate(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0 or self.pretrain_lr < 0:
-            raise ConfigError("learning rates must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch_size}")
-        if self.pretrain_epochs < 0:
-            raise ConfigError(
-                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        for name, v, least in (("epochs", self.epochs, 1), ("lr", self.lr, 0),
+                               ("batch", self.batch_size, 1),
+                               ("pretrain_epochs", self.pretrain_epochs, 0),
+                               ("pretrain_lr", self.pretrain_lr, 0)):
+            if v < least:
+                raise ConfigError(f"{name} must be >= {least}, got {v}")
 
 
 @dataclass

@@ -20,10 +20,18 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError
 from .selector import AttentionalSelector, apply_gated
 
+BACKBONES = ("transformer", "mlp")
 ADAPTER_SITES = ("query", "key", "value", "output", "ffn")
 # ModelConfig's positive-int fields, in checkpoint record order
 CONFIG_INTS = ("vocab_size", "embed_dim", "num_layers", "num_heads",
                "seq_len", "num_classes", "ffn_multiplier")
+
+
+def check_sites(sites) -> None:
+    """The one rule for adapter site names: one or more known names."""
+    if not sites or not set(sites) <= set(ADAPTER_SITES):
+        raise ConfigError(f"sites must be one or more of {ADAPTER_SITES}, "
+                          f"got {tuple(sites)}")
 
 
 @dataclass
@@ -40,7 +48,7 @@ class ModelConfig:
     ffn_multiplier: int = 4
 
     def validate(self):
-        if self.backbone not in ("transformer", "mlp"):
+        if self.backbone not in BACKBONES:
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         for name in CONFIG_INTS:
             v = getattr(self, name)
@@ -51,11 +59,7 @@ class ModelConfig:
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
-        bad = set(self.adapter_sites) - set(ADAPTER_SITES)
-        if bad:
-            raise ConfigError(f"unknown adapter sites {sorted(bad)}")
-        if not self.adapter_sites:
-            raise ConfigError("at least one adapter site is required")
+        check_sites(self.adapter_sites)
         if self.backbone == "mlp" and set(self.adapter_sites) != {"ffn"}:
             raise ConfigError("mlp backbone only supports adapter_sites={'ffn'}")
 

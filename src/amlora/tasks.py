@@ -182,8 +182,21 @@ def build_stream(num_tasks: int = 4, num_classes: int = 4,
                  order: str = "order1", p_sig: float = 0.4,
                  sig_tokens_per_class: int = 6) -> TaskStream:
     """Stream of per-task specs, permuted by one of the built-in orders."""
+    for name, n, least in (("num_tasks", num_tasks, 1),
+                           ("num_classes", num_classes, 2),
+                           ("train_per_task", train_per_task, 1),
+                           ("eval_per_task", eval_per_task, 1),
+                           ("sig_tokens_per_class", sig_tokens_per_class, 1)):
+        if n < least:
+            raise ConfigError(f"{name} must be >= {least}, got {n}")
     if train_per_task % num_classes or eval_per_task % num_classes:
-        raise ConfigError("per-task sample counts must divide by num_classes")
+        raise ConfigError(
+            f"train_per_task {train_per_task} and eval_per_task "
+            f"{eval_per_task} must divide by num_classes {num_classes}")
+    if not 0.0 <= p_sig <= 1.0:
+        raise ConfigError(f"p_sig must be in [0, 1], got {p_sig}")
+    if generator == "rotated_gaussian" and dim < 2:  # means on a circle
+        raise ConfigError(f"rotated_gaussian needs dim >= 2, got {dim}")
     if order not in ORDERS:
         raise ConfigError(f"unknown order {order!r} (choose from {sorted(ORDERS)})")
     if num_tasks > len(ORDERS[order]):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -94,7 +95,9 @@ def test_unknown_method_exit_1(tmp_path, capsys):
     rc = parse_and_dispatch(["run", "--out-dir", str(tmp_path),
                              "--methods", "bogus"] + _ov())
     assert rc == 1
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert "--methods must be one of" in err
 
 
 def test_bad_seeds_flag_exit_1(tmp_path, capsys):
@@ -117,6 +120,38 @@ def test_negative_seed_exit_1_before_any_cell(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert f"error: {name} must be >= 0" in err
     assert ran == [] and not out.exists()
+
+
+@pytest.mark.parametrize("kv", [
+    "d=0", "heads=3", "heads=0", "layers=0", "seq_len=0", "vocab=0",
+    "classes=0", "classes=1", "dropout=1.5", "dropout=-0.5", "batch=0",
+    "epochs=0", "lr=-1", "pretrain_lr=-1", "pretrain_epochs=-1", "p_sig=2",
+    "p_sig=-1", "tasks=0", "tasks=-1", "tasks=5", "train_per_task=0",
+    "train_per_task=1001", "eval_per_task=0", "sig_tokens=0", "backbone=mlp",
+    "generator=rotated_gaussian backbone=mlp sites=ffn heads=1 d=1"])
+def test_bad_config_value_exit_1_before_any_cell(tmp_path, capsys,
+                                                 monkeypatch, kv):
+    # the last K=V of each case is the bad value
+    ran = []
+    monkeypatch.setattr(cli, "_try_cell", ran.append)
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(["run", "--out-dir", str(out)] + _ov(kv.split()))
+    assert rc == 1
+    key = kv.split()[-1].split("=")[0]
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+    assert ran == [] and not out.exists()
+
+
+def test_inspect_gates_bad_config_value_exit_1_before_training(
+        tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *a: trained.append(a))
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(["inspect-gates", "--out-dir", str(out)]
+                            + _ov(["p_sig=2"]))
+    assert rc == 1
+    assert "error: p_sig must be in [0, 1]" in capsys.readouterr().err
+    assert trained == [] and not out.exists()
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):

@@ -3,11 +3,13 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amlora.configfile import (apply_overrides, config_digest, default_config,
-                               format_config, load_config, parse_config,
-                               set_key, to_method_spec, to_model_config,
-                               to_stream, to_train_config)
+from amlora.configfile import (apply_overrides, check_config, config_digest,
+                               default_config, format_config, load_config,
+                               parse_config, set_key, to_method_spec,
+                               to_model_config, to_stream, to_train_config)
 from amlora.errors import ConfigError
 
 
@@ -152,3 +154,36 @@ def test_default_config_digest_is_pinned():
     # finite configs parse as before, so run directories keep their digest
     assert config_digest(default_config()) == (
         "e287f1dd9de96d6f4183d789d60d2bb913ae74b273eb467150ed299f9485ab5f")
+
+
+_KEYS = sorted(default_config())
+_VALUES = st.one_of(
+    st.integers(-3, 8), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["transformer", "mlp", "adam", "sgd", "NR", "AR",
+                     "order2", "seqft", "rotated_gaussian", "ffn",
+                     "query,key", "0,1e-3", "", "1e400"]))
+_FUZZ = settings(derandomize=True, deadline=None, max_examples=1500)
+
+
+def _checked_or_config_error(make):
+    """Every outcome is a checked config dict or a ConfigError."""
+    try:
+        cfg = check_config(make())
+    except ConfigError:
+        return
+    assert isinstance(cfg, dict) and set(cfg) == set(default_config())
+
+
+@_FUZZ
+@given(st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=4))
+def test_fuzzed_overrides_give_a_config_or_a_config_error(pairs):
+    _checked_or_config_error(lambda: apply_overrides(
+        default_config(), [f"{k}={v}" for k, v in pairs]))
+
+
+@_FUZZ
+@given(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4))
+def test_fuzzed_config_text_gives_a_config_or_a_config_error(entries):
+    _checked_or_config_error(lambda: parse_config(
+        "".join(f"{k}={v}\n" for k, v in entries.items())))

@@ -36,8 +36,10 @@ def small_method(name="amlora"):
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^lr must be >= 0"):
         TrainConfig(lr=-1e-3).validate()
+    with pytest.raises(ConfigError, match="^pretrain_lr must be >= 0"):
+        TrainConfig(pretrain_lr=-1e-3).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ConfigError):

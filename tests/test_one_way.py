@@ -1,7 +1,8 @@
 """One way to do each thing: ops go through the functional autodiff API,
 evaluation has one batch default, report rows are built once, what a method
 attaches decides each site's forward, each verb accepts only the inputs it
-reads, and each value has one owner."""
+reads, each value has one owner, and each choice set and rule is defined
+once."""
 
 import csv
 import dataclasses
@@ -212,3 +213,24 @@ def test_every_projection_is_an_adapted_linear_that_owns_its_names(cfg):
     assert not hasattr(model.AdaptedLinear, "attach")
     assert not hasattr(m, "classifier_w")
     assert not hasattr(model.ModelConfig, "head_dim")
+
+
+def test_each_choice_set_and_the_sites_rule_are_defined_once():
+    # the backbones and the sites rule live in model.py, the optimizers in
+    # autodiff.py; the cli parses list flags with their config keys' parsers
+    literals = ('"transformer", "mlp"', '"adam", "sgd"', '"sgd", "adam"',
+                "set(ADAPTER_SITES)")
+    where = {lit: [] for lit in literals}
+    src = os.path.dirname(amlora.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            for lit in literals:
+                where[lit] += [name] * text.count(lit)
+    assert where == {'"transformer", "mlp"': ["model.py"],
+                     '"adam", "sgd"': ["autodiff.py"], '"sgd", "adam"': [],
+                     "set(ADAPTER_SITES)": ["model.py"]}
+    assert not hasattr(configfile, "parse_seed")
+    assert "valid" not in inspect.signature(cli._parse_csv_list).parameters
+    assert not hasattr(cli, "METHODS") and not hasattr(cli, "ORDERS")

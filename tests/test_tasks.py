@@ -160,8 +160,23 @@ def test_build_stream_seed_independence():
 
 
 def test_build_stream_count_validation():
-    with pytest.raises(ConfigError, match="divide"):
+    with pytest.raises(ConfigError, match="train_per_task 1001 and "
+                                          "eval_per_task 400 must divide"):
         build_stream(train_per_task=1001)
+    for kwargs, name in [({"num_tasks": 0}, "num_tasks"),
+                         ({"num_tasks": -1}, "num_tasks"),
+                         ({"num_tasks": -2}, "num_tasks"),
+                         ({"num_classes": 0}, "num_classes"),
+                         ({"num_classes": 1}, "num_classes"),
+                         ({"p_sig": 1.5}, "p_sig"), ({"p_sig": -0.1}, "p_sig"),
+                         ({"train_per_task": 0}, "train_per_task"),
+                         ({"eval_per_task": 0}, "eval_per_task"),
+                         ({"sig_tokens_per_class": 0}, "sig_tokens_per_class"),
+                         ({"generator": "rotated_gaussian", "dim": 1}, "dim")]:
+        with pytest.raises(ConfigError, match=name):
+            build_stream(**kwargs)
+    assert len(build_stream(p_sig=1.0, num_classes=2)) == 4
+    assert len(build_stream(generator="rotated_gaussian", dim=2)) == 4
     with pytest.raises(ConfigError):
         build_stream(num_tasks=6)  # built-in orders cover four tasks
     short = build_stream(num_tasks=2)
