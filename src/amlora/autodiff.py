@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, GradientError
+from .errors import ConfigError, DimensionError, GradientError
 
 _tls = threading.local()
 
@@ -177,7 +177,7 @@ def mul(a, b) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
-    mask = t.data > 0.0
+    mask = t.data > 0.0 if _records((t,)) else None  # only backward reads it
     # np.where(mask, x, 0.0) without a branch per element: fmax maps NaN to
     # 0 and the + 0.0 turns its -0.0 into +0.0, so the bits are the same.
     data = np.fmax(t.data, 0.0)
@@ -618,9 +618,9 @@ class Optimizer:
     def __init__(self, params: Iterable[Tensor], kind: str = "adam",
                  lr: float = 1e-4):
         if kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer kind {kind!r}")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {kind!r}")
         if lr < 0:
-            raise ValueError("learning rate must be non-negative")
+            raise ConfigError(f"lr must be >= 0, got {lr}")
         self.kind = kind
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8

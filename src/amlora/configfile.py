@@ -5,7 +5,8 @@ name so typos fail loudly. ``_SCHEMA`` is the one place a key, its parser
 and its default are defined; a parser checks type, finiteness, choice and
 the seed's sign. Every other range rule lives with the object that reads
 the value, and ``check_config`` builds those objects once. ``lambda``
-accepts a single float or a comma-separated per-task schedule. The digest
+accepts a single float or a comma-separated per-task schedule of at most
+``tasks`` entries, the last repeated for later tasks. The digest
 is a sha256 over the canonical serialization, so two runs with the same
 digest ran the same configuration.
 """
@@ -216,6 +217,9 @@ def check_config(cfg: dict) -> dict:
         to_train_config(cfg).validate()
         to_method_spec(cfg)
         to_stream(cfg)
+        if isinstance(cfg["lambda"], list) and len(cfg["lambda"]) > cfg["tasks"]:
+            raise ConfigError(f"lambda schedule has {len(cfg['lambda'])} "
+                              f"entries, more than tasks={cfg['tasks']}")
     except ConfigError as exc:
         raise ConfigError(_OWNER_NAME.sub(lambda m: _KEY_OF[m.group()],
                                           str(exc))) from None

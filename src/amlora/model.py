@@ -130,7 +130,11 @@ class Backbone:
         """What the classifier reads: the transformer's mean-pooled ``(b, d)``
         or the mlp's last hidden layer. Every transformer op here works on
         each example alone, so the features of a slice of the batch are the
-        bytes of the same rows of the whole batch's features."""
+        bytes of the same rows of the whole batch's features. Layer 0's
+        query, key and value see only the token at each position (there is
+        no positional embedding), so when no tape records, no dropout runs
+        and none of them has a gate capture, they run once per distinct
+        (position, token) and are gathered back, with the same bytes."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
@@ -148,24 +152,38 @@ class Backbone:
         if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise ValueError(
                 f"token id out of vocabulary [0, {self.config.vocab_size})")
-        x = ad.embedding(self.embedding, ids)
-        if drop > 0.0:
-            x = ad.dropout(x, drop, rng)
-        for layer in self.layers:
-            ctx = ad.attention(layer["query"].forward(x),
-                               layer["key"].forward(x),
-                               layer["value"].forward(x),
-                               self.config.num_heads)
-            out = layer["output"].forward(ctx)
-            if drop > 0.0:
-                out = ad.dropout(out, drop, rng)
-            x = ad.add(x, out)
-            h1 = ad.relu(layer["ffn"].forward(x))
-            h2 = layer["ffn2"].forward(h1)
-            if drop > 0.0:
-                h2 = ad.dropout(h2, drop, rng)
-            x = ad.add(x, h2)
+        x = ad.dropout(ad.embedding(self.embedding, ids), drop, rng)
+        for i, layer in enumerate(self.layers):
+            lins = [layer[key] for key in ("query", "key", "value")]
+            table = i == 0 and drop == 0.0 and not ad._recording() and all(
+                lin.gate_capture is None for lin in lins)
+            # nested calls, not names: each temporary is freed once the op
+            # that reads it returns, not when the next layer rebinds a name
+            x = ad.add(x, ad.dropout(layer["output"].forward(ad.attention(
+                *(self._per_distinct_token(ids, lins) if table
+                  else [lin.forward(x) for lin in lins]),
+                self.config.num_heads)), drop, rng))
+            x = ad.add(x, ad.dropout(layer["ffn2"].forward(ad.relu(
+                layer["ffn"].forward(x))), drop, rng))
         return ad.mean_axis(x, axis=1)
+
+    def _per_distinct_token(self, ids, lins) -> list[Tensor]:
+        """Each of ``lins`` on the embeddings of ``ids``, run once per
+        distinct (position, token). Column p of a ``(U, L)`` table holds the
+        tokens seen at position p, short columns padded with row 0's token,
+        so every token keeps its row index p in an L-row product."""
+        b, L = ids.shape
+        vocab = self.config.vocab_size
+        key = ids.astype(np.int64) + np.arange(L) * vocab
+        keys, inv = np.unique(key.ravel(), return_inverse=True)
+        pos = keys // vocab
+        counts = np.bincount(pos, minlength=L)
+        rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[pos]
+        table = np.repeat(ids[:1], counts.max(), axis=0)
+        table[rank, pos] = keys % vocab
+        emb = ad.embedding(self.embedding, table)
+        rows, cols = rank[inv].reshape(b, L), np.arange(L)
+        return [Tensor(lin.forward(emb).data[rows, cols]) for lin in lins]
 
     def _dense_features(self, batch, drop, rng) -> Tensor:
         x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))

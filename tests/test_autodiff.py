@@ -7,7 +7,7 @@ import pytest
 
 from amlora import autodiff as ad
 from amlora.autodiff import Optimizer, Tensor
-from amlora.errors import DimensionError, GradientError
+from amlora.errors import ConfigError, DimensionError, GradientError
 
 
 def test_matmul_forward_oracle():
@@ -160,6 +160,15 @@ def test_optimizer_rejects_frozen_tensor():
     p = Tensor([1.0], requires_grad=False)
     with pytest.raises(GradientError, match="frozen"):
         Optimizer([p])
+
+
+def test_optimizer_bad_kind_or_lr_is_a_config_error():
+    p = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ConfigError, match=r"^optimizer must be one of .*'rmsprop'"):
+        Optimizer([p], kind="rmsprop")
+    with pytest.raises(ConfigError, match=r"^lr must be >= 0, got -0.5$"):
+        Optimizer([p], lr=-0.5)
+    assert issubclass(ConfigError, ValueError)  # callers catching ValueError
 
 
 def test_optimizer_step_without_grad_fails():

@@ -150,6 +150,31 @@ def test_non_finite_override_exits_1_before_any_cell(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
+def test_lambda_schedule_longer_than_tasks_is_rejected(tmp_path, capsys,
+                                                      monkeypatch):
+    from amlora import cli
+    cfg = apply_overrides(default_config(), ["tasks=2", "lambda=0,1e-3"])
+    assert check_config(cfg) is cfg
+    short = apply_overrides(default_config(), ["lambda=0,1e-3"])
+    assert check_config(short) is short
+    assert to_method_spec(short).lam_at(3) == 1e-3  # the last value repeats
+    cfg["lambda"] = [0.0, 1e-3, 1e-2]
+    with pytest.raises(ConfigError, match=r"^lambda schedule has 3 entries, "
+                                          r"more than tasks=2$"):
+        check_config(cfg)
+    ran = []
+    monkeypatch.setattr(cli, "_try_cell", ran.append)
+    monkeypatch.setattr(cli, "_run_cell", lambda *a: ran.append(a))
+    for verb in ("run", "inspect-gates"):
+        out = tmp_path / verb
+        rc = cli.parse_and_dispatch([verb, "--out-dir", str(out),
+                                     "--override", "tasks=2",
+                                     "--override", "lambda=0,1e-3,1e-2"])
+        assert rc == 1
+        assert "error: lambda schedule has 3 entries" in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+
 def test_default_config_digest_is_pinned():
     # finite configs parse as before, so run directories keep their digest
     assert config_digest(default_config()) == (

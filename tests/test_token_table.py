@@ -1,0 +1,143 @@
+"""At inference layer 0's query, key and value run once per distinct
+(position, token) and are gathered back to every row; the features keep the
+bytes of the recording forward, which projects every position of every row.
+
+The reference runs with the tape recording (outside ``no_grad``), the one
+path that never takes the table. Comparisons are on int64 views. The last
+test checks that an eval forward frees each layer's temporaries before the
+next layer starts.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from amlora import autodiff as ad
+from amlora.baselines import MethodSpec, make_driver
+from amlora.configfile import (apply_overrides, default_config,
+                               to_model_config, to_stream)
+from amlora.model import build_model
+from amlora.tasks import generate_task
+
+CONFIGS = {
+    "default": [],
+    # a table of one row per distinct token, in blocks of seq_len rows,
+    # kept the bytes at the default seq_len 16 and broke them here
+    "small": ["d=16", "heads=2", "layers=1", "seq_len=6", "vocab=64",
+              "tasks=3", "classes=2", "sig_tokens=2"],
+}
+BATCHES = (1, 3, 7, 32, 100, 200)
+STACKS = [("amlora", 1), ("amlora", 2), ("amlora", 4), ("inclora", 1),
+          ("inclora", 2), ("inclora", 4), (None, 0)]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _setup(config, method, n):
+    """A model with ``n`` random adapters per site (and random gate heads),
+    and the first task's 400 eval rows."""
+    cfg = apply_overrides(default_config(), CONFIGS[config])
+    model = build_model(to_model_config(cfg), 0)
+    if method is not None:
+        driver = make_driver(MethodSpec(method, rank=4))
+        driver.attach(model, 1)
+        for stage in range(n):
+            driver.start_stage(model, stage, 10 + stage)
+            driver.end_stage(model, stage)
+        rng = np.random.default_rng(2)
+        for site in model.sites.values():
+            tensors = [t for a in site.stack.task_adapters for t in (a.A, a.B)]
+            tensors += site.selector.heads if site.selector is not None else []
+            for t in tensors:
+                t.data[...] = rng.normal(0.0, 0.3, t.data.shape)
+    return model, generate_task(to_stream(cfg).tasks[0]).eval_x
+
+
+def _query_rows(model):
+    """Record the row count of every batch that layer 0's query projects."""
+    lin, rows = model.layers[0]["query"], []
+    forward = lin.forward
+    lin.forward = lambda x: rows.append(x.data.shape[0]) or forward(x)
+    return rows
+
+
+def _recorded_features(model, ids):
+    out = model.features(ids).data
+    ad.reset_tape()
+    return out
+
+
+@pytest.mark.parametrize("method,n", STACKS)
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_table_features_equal_the_recording_forward(config, method, n):
+    model, x = _setup(config, method, n)
+    rows = _query_rows(model)
+    for b in BATCHES:
+        ids = x[:b]
+        want = _recorded_features(model, ids)
+        with ad.no_grad():
+            got = model.features(ids).data
+        assert np.array_equal(_bits(got), _bits(want)), b
+        distinct = max(len(np.unique(ids[:, p])) for p in range(ids.shape[1]))
+        assert rows[-2:] == [b, distinct], b  # the table has U rows
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_uniform_ids_fill_the_table(config):
+    model, x = _setup(config, "amlora", 4)
+    vocab = model.config.vocab_size
+    ids = np.random.default_rng(5).integers(0, vocab, size=(200, x.shape[1]))
+    want = _recorded_features(model, ids)
+    for dtype in (np.int64, np.int32, np.uint8, np.uint64):
+        with ad.no_grad():
+            got = model.features(ids.astype(dtype)).data
+        assert np.array_equal(_bits(got), _bits(want)), dtype
+
+
+def test_a_layer0_gate_capture_takes_the_per_position_path():
+    model, x = _setup("default", "amlora", 2)
+    rows = _query_rows(model)
+    ids = x[:100]
+    want = _recorded_features(model, ids)
+    model.layers[0]["query"].gate_capture = capture = {}
+    with ad.no_grad():
+        got = model.features(ids).data
+    assert rows == [100, 100]
+    assert capture["gates"].shape == (100, 16, 3)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("bad", [-1, 128])
+def test_an_out_of_vocabulary_id_raises_before_the_table(bad):
+    model, x = _setup("default", "amlora", 1)
+    ids = x[:50].copy()
+    ids[7, 3] = bad
+    with pytest.raises(ValueError) as recording:
+        model.features(ids)
+    with ad.no_grad(), pytest.raises(ValueError) as table:
+        model.features(ids)
+    assert str(table.value) == str(recording.value) == \
+        "token id out of vocabulary [0, 128)"
+
+
+def test_a_layer_holds_no_temporary_of_the_layer_before():
+    # at layer 1's first projection an eval forward holds the residual stream
+    # alone; names that lived until the next layer rebound them kept layer
+    # 0's attention context, output, FFN hidden and FFN output alive too
+    model, x = _setup("default", "amlora", 4)
+    lin, held = model.layers[1]["query"], []
+    forward = lin.forward
+    lin.forward = lambda t: held.append(tracemalloc.get_traced_memory()[0]) \
+        or forward(t)
+    ids = x[:200]
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            model.features(ids)
+    finally:
+        tracemalloc.stop()
+    stream = ids.size * model.config.embed_dim * 8  # one (b, L, d) array
+    assert held[0] < 1.5 * stream, (held[0], stream)
