@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import AdapterStack
+from .adapters import DEFAULT_ALPHA, DEFAULT_RANK, AdapterStack
 from .errors import ConfigError
 from .selector import AttentionalSelector, sparsity_loss, trainable_set
 
@@ -37,9 +37,9 @@ def check_lambda(values, shown) -> None:
 
 @dataclass
 class MethodSpec:
-    name: str
-    rank: int = 8
-    alpha: float = 32.0
+    name: str = "amlora"
+    rank: int = DEFAULT_RANK
+    alpha: float = DEFAULT_ALPHA
     variant: str = "AR"
     # scalar, or one value per task stage (last value repeats if short)
     lam: object = 1e-5

@@ -105,16 +105,13 @@ def _parse_csv_list(text: str | None, key: str, flag: str, cfg: dict) -> list:
 
 
 def _effective_config(args) -> dict:
-    cfg = default_config()
-    if args.config:
-        cfg = load_config(args.config)
+    cfg = load_config(args.config) if args.config else default_config()
     return check_config(apply_overrides(cfg, args.override))
 
 
 def _run_cell(cfg: dict, method: str, order: str, seed: int,
               ckpt: str | None = None):
-    cell = dict(cfg)
-    cell["method"], cell["order"] = method, order
+    cell = dict(cfg, method=method, order=order)
     # The stream is a fixed benchmark keyed by the config's own seed; the
     # run seed only varies training (init, batching, dropout, pretraining).
     return run_stream(to_stream(cell), to_method_spec(cell),
@@ -336,16 +333,25 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"no metrics.csv under {out_dir!r}; run `run` first")
     acc = {}
     with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            key = (row["method"], int(row["seed"]), row["order_id"])
-            acc.setdefault(key, {})[(int(row["after_task"]),
-                                     int(row["eval_task"]))] = \
-                float(row["accuracy"])
+        rows = csv.DictReader(f)
+        for row in rows:
+            try:
+                key = (row["method"], int(row["seed"]), row["order_id"])
+                cell = (int(row["after_task"]), int(row["eval_task"]))
+                acc.setdefault(key, {})[cell] = float(row["accuracy"])
+            except KeyError as exc:
+                raise ConfigError(f"{path} has no {exc} column") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path} line {rows.line_num}: {exc}") from None
     per_method = {}
     for key, cells in acc.items():
         n = max(t for t, _ in cells) + 1
-        rep = MetricsReport(*key, acc=[[cells[(t, i)] for i in range(t + 1)]
-                                       for t in range(n)])
+        try:
+            rep = MetricsReport(*key, acc=[[cells[(t, i)] for i in range(t + 1)]
+                                           for t in range(n)])
+        except KeyError as exc:
+            raise ConfigError(f"{path} has no row for (after_task, eval_task)="
+                              f"{exc} of (method, seed, order_id)={key}") from None
         per_method.setdefault(key[0], []).append(
             (rep.final_average_accuracy(), rep.mean_forgetting()))
     print(f"{'method':>10} {'runs':>4} {'avg_acc':>16} {'mean_forgetting':>16}")
@@ -376,7 +382,7 @@ def parse_and_dispatch(argv) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

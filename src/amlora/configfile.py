@@ -2,9 +2,11 @@
 
 A config is a plain dict with a fixed key set; unknown keys are rejected by
 name so typos fail loudly. ``_SCHEMA`` is the one place a key, its parser
-and its default are defined; a parser checks type, finiteness, choice and
-the seed's sign. Every other range rule lives with the object that reads
-the value, and ``check_config`` builds those objects once. ``lambda``
+and the owner fields it sets are defined; no default is written here, each
+key takes its first owner's keyword default. A parser checks type,
+finiteness, choice and the seed's sign. Every other range rule lives with
+the object that reads the value, and ``check_config`` builds those objects
+once. ``lambda``
 accepts a single float or a comma-separated per-task schedule of at most
 ``tasks`` entries, the last repeated for later tasks. The digest
 is a sha256 over the canonical serialization, so two runs with the same
@@ -14,6 +16,7 @@ digest ran the same configuration.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import re
 
@@ -66,42 +69,44 @@ def _sites(key, v):
     return parts
 
 
-# key -> (parser, default); the TrainConfig, ModelConfig, MethodSpec and
-# build_stream defaults equal these values.
+# key -> (parser, owner fields it sets); the defaults, the to_* bridges and
+# check_config's key names all come from these rows
 _SCHEMA = {
-    "backbone": (_choice(*BACKBONES), "transformer"),
-    "d": (_int, 32),
-    "layers": (_int, 2),
-    "heads": (_int, 4),
-    "seq_len": (_int, 16),
-    "vocab": (_int, 128),
-    "tasks": (_int, 4),
-    "classes": (_int, 4),
-    "train_per_task": (_int, 1000),
-    "eval_per_task": (_int, 400),
-    "epochs": (_int, 1),
-    "lr": (_float, 2e-2),
-    "batch": (_int, 8),
-    "r": (_int, 8),
-    "alpha": (_float, 32.0),
-    "lambda": (_lambda, 1e-5),
-    "variant": (_choice(*VARIANTS), "AR"),
-    "sites": (_sites, ("query", "value")),
-    "order": (_choice(*ORDERS), "order1"),
-    "seed": (_number(int, "an integer", least=0), 0),
-    "method": (_choice(*METHODS), "amlora"),
-    "generator": (_choice(*GENERATORS), "token_signature"),
-    "dropout": (_float, 0.1),
-    "p_sig": (_float, 0.4),
-    "sig_tokens": (_int, 6),
-    "optimizer": (_choice(*OPTIMIZERS), "adam"),
-    "pretrain_epochs": (_int, 3),
-    "pretrain_lr": (_float, 1e-3),
+    "backbone": (_choice(*BACKBONES), (ModelConfig, "backbone")),
+    "d": (_int, (ModelConfig, "embed_dim"), (build_stream, "dim")),
+    "layers": (_int, (ModelConfig, "num_layers")),
+    "heads": (_int, (ModelConfig, "num_heads")),
+    "seq_len": (_int, (ModelConfig, "seq_len"), (build_stream, "seq_len")),
+    "vocab": (_int, (ModelConfig, "vocab_size"), (build_stream, "vocab")),
+    "tasks": (_int, (build_stream, "num_tasks")),
+    "classes": (_int, (ModelConfig, "num_classes"), (build_stream, "num_classes")),
+    "train_per_task": (_int, (build_stream, "train_per_task")),
+    "eval_per_task": (_int, (build_stream, "eval_per_task")),
+    "epochs": (_int, (TrainConfig, "epochs")),
+    "lr": (_float, (TrainConfig, "lr")),
+    "batch": (_int, (TrainConfig, "batch_size")),
+    "r": (_int, (MethodSpec, "rank")),
+    "alpha": (_float, (MethodSpec, "alpha")),
+    "lambda": (_lambda, (MethodSpec, "lam")),
+    "variant": (_choice(*VARIANTS), (MethodSpec, "variant")),
+    "sites": (_sites, (ModelConfig, "adapter_sites")),
+    "order": (_choice(*ORDERS), (build_stream, "order")),
+    "seed": (_number(int, "an integer", least=0), (build_stream, "seed")),
+    "method": (_choice(*METHODS), (MethodSpec, "name")),
+    "generator": (_choice(*GENERATORS), (build_stream, "generator")),
+    "dropout": (_float, (ModelConfig, "dropout_rate")),
+    "p_sig": (_float, (build_stream, "p_sig")),
+    "sig_tokens": (_int, (build_stream, "sig_tokens_per_class")),
+    "optimizer": (_choice(*OPTIMIZERS), (TrainConfig, "optimizer")),
+    "pretrain_epochs": (_int, (TrainConfig, "pretrain_epochs")),
+    "pretrain_lr": (_float, (TrainConfig, "pretrain_lr")),
 }
+_DEFAULTS = {key: inspect.signature(owner).parameters[name].default
+             for key, (_, (owner, name), *_) in _SCHEMA.items()}
 
 
 def default_config() -> dict:
-    return {key: default for key, (_, default) in _SCHEMA.items()}
+    return dict(_DEFAULTS)
 
 
 def parse_value(key: str, value: str, name: str | None = None):
@@ -138,8 +143,11 @@ def parse_config(text: str) -> dict:
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse_config(f.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -170,42 +178,31 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(format_config(cfg).encode("utf-8")).hexdigest()
 
 
+def _build(owner, cfg: dict):
+    """``owner`` called with every field that a config key sets on it."""
+    return owner(**{name: cfg[key] for key, (_, *sets) in _SCHEMA.items()
+                    for o, name in sets if o is owner})
+
+
 def to_model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        backbone=cfg["backbone"], vocab_size=cfg["vocab"],
-        embed_dim=cfg["d"], num_layers=cfg["layers"], num_heads=cfg["heads"],
-        seq_len=cfg["seq_len"], num_classes=cfg["classes"],
-        dropout_rate=cfg["dropout"], adapter_sites=tuple(cfg["sites"]))
+    return _build(ModelConfig, cfg)
 
 
 def to_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(epochs=cfg["epochs"], lr=cfg["lr"],
-                       batch_size=cfg["batch"], optimizer=cfg["optimizer"],
-                       pretrain_epochs=cfg["pretrain_epochs"],
-                       pretrain_lr=cfg["pretrain_lr"])
+    return _build(TrainConfig, cfg)
 
 
 def to_method_spec(cfg: dict) -> MethodSpec:
-    return MethodSpec(name=cfg["method"], rank=cfg["r"],
-                      alpha=cfg["alpha"], variant=cfg["variant"],
-                      lam=cfg["lambda"])
+    return _build(MethodSpec, cfg)
 
 
 def to_stream(cfg: dict, seed: int | None = None) -> TaskStream:
-    return build_stream(
-        num_tasks=cfg["tasks"], num_classes=cfg["classes"],
-        train_per_task=cfg["train_per_task"],
-        eval_per_task=cfg["eval_per_task"], generator=cfg["generator"],
-        vocab=cfg["vocab"], seq_len=cfg["seq_len"], dim=cfg["d"],
-        seed=cfg["seed"] if seed is None else seed, order=cfg["order"],
-        p_sig=cfg["p_sig"], sig_tokens_per_class=cfg["sig_tokens"])
+    return _build(build_stream, cfg if seed is None else dict(cfg, seed=seed))
 
 
-# owner argument name -> config key, for the messages of check_config
-_KEY_OF = {"embed_dim": "d", "num_heads": "heads", "num_layers": "layers",
-           "vocab_size": "vocab", "num_classes": "classes", "num_tasks": "tasks",
-           "dropout_rate": "dropout", "adapter_sites": "sites", "dim": "d",
-           "sig_tokens_per_class": "sig_tokens"}
+# owner field -> config key where the names differ, for check_config's messages
+_KEY_OF = {name: key for key, (_, *sets) in _SCHEMA.items()
+           for _, name in sets if name != key}
 _OWNER_NAME = re.compile(r"\b(" + "|".join(_KEY_OF) + r")\b")
 
 

@@ -43,10 +43,9 @@ class TrainConfig:
     pretrain_lr: float = 1e-3
 
     def validate(self):
-        for name, v, least in (("epochs", self.epochs, 1), ("lr", self.lr, 0),
-                               ("batch", self.batch_size, 1),
-                               ("pretrain_epochs", self.pretrain_epochs, 0),
-                               ("pretrain_lr", self.pretrain_lr, 0)):
+        for name, least in (("epochs", 1), ("lr", 0), ("batch_size", 1),
+                            ("pretrain_epochs", 0), ("pretrain_lr", 0)):
+            v = getattr(self, name)
             if v < least:
                 raise ConfigError(f"{name} must be >= {least}, got {v}")
 

@@ -192,10 +192,7 @@ class Backbone:
                 f"feature batch must be b x {self.config.embed_dim}, "
                 f"got {x.data.shape}")
         for layer in self.layers:
-            h = ad.relu(layer["ffn"].forward(x))
-            if drop > 0.0:
-                h = ad.dropout(h, drop, rng)
-            x = ad.add(x, h)
+            x = ad.add(x, ad.dropout(ad.relu(layer["ffn"].forward(x)), drop, rng))
         return x
 
 

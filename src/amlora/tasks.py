@@ -17,7 +17,7 @@ are resampled so the splits are disjoint by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +30,12 @@ GENERATORS = {"token_signature": "transformer", "rotated_gaussian": "mlp"}
 @dataclass
 class TaskSpec:
     task_id: int
-    num_classes: int = 4
-    train_per_class: int = 250
-    eval_per_class: int = 100
-    generator: str = "token_signature"
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+    num_classes: int
+    train_per_class: int
+    eval_per_class: int
+    generator: str
+    params: dict
+    seed: int
 
 
 @dataclass

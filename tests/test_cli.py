@@ -65,10 +65,21 @@ def test_override_without_equals_exit_1(tmp_path, capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
-def test_missing_config_file_exit_1(tmp_path, capsys):
-    rc = parse_and_dispatch(["run", "--config", str(tmp_path / "nope.cfg")])
-    assert rc == 1
-    assert "nope.cfg" in capsys.readouterr().err
+def test_missing_config_file_exit_1(tmp_path, capsys, monkeypatch):
+    # a missing file, a directory and a file that is not UTF-8
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"seed = 7  # caf\xe9\n")
+    trained = []
+    monkeypatch.setattr(cli, "_run_cell", lambda *a: trained.append(a))
+    out = tmp_path / "o"
+    for path in (tmp_path / "nope.cfg", tmp_path, latin1):
+        for verb in ("run", "inspect-gates"):
+            rc = parse_and_dispatch([verb, "--config", str(path),
+                                     "--out-dir", str(out)])
+            assert rc == 1
+            assert (f"error: cannot read config file {str(path)!r}"
+                    in capsys.readouterr().err)
+    assert trained == [] and not out.exists()
 
 
 def test_config_file_merges_over_defaults(tmp_path):
@@ -259,6 +270,25 @@ def test_report_without_metrics_exit_1(tmp_path, capsys):
     rc = parse_and_dispatch(["report", "--out-dir", str(tmp_path / "empty")])
     assert rc == 1
     assert "metrics.csv" in capsys.readouterr().err
+
+
+METRICS_HEADER = "method,seed,order_id,after_task,eval_task,accuracy\r\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("method,seed,after_task,eval_task,accuracy\r\namlora,0,0,0,0.5\r\n",
+     "metrics.csv has no 'order_id' column"),
+    (METRICS_HEADER + "amlora,0,order1,0,0,0.5\r\namlora,x,order1,0,0,0.5\r\n",
+     "metrics.csv line 3: invalid literal for int() with base 10: 'x'"),
+    (METRICS_HEADER + "amlora,0,order1,1,0,0.5\r\namlora,0,order1,1,1,0.5\r\n",
+     "metrics.csv has no row for (after_task, eval_task)=(0, 0) of "
+     "(method, seed, order_id)=('amlora', 0, 'order1')"),
+], ids=["missing-column", "bad-seed", "missing-cell"])
+def test_report_malformed_metrics_exit_1(tmp_path, capsys, text, message):
+    (tmp_path / "metrics.csv").write_bytes(text.encode("utf-8"))
+    rc = parse_and_dispatch(["report", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {tmp_path / message}" in capsys.readouterr().err
 
 
 def test_report_aggregates_methods(tmp_path, capsys):

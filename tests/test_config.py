@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amlora.configfile import (apply_overrides, check_config, config_digest,
-                               default_config, format_config, load_config,
-                               parse_config, set_key, to_method_spec,
-                               to_model_config, to_stream, to_train_config)
+from amlora.configfile import (_SCHEMA, apply_overrides, check_config,
+                               config_digest, default_config, format_config,
+                               load_config, parse_config, set_key,
+                               to_method_spec, to_model_config, to_stream,
+                               to_train_config)
 from amlora.errors import ConfigError
 
 
@@ -173,6 +174,21 @@ def test_lambda_schedule_longer_than_tasks_is_rejected(tmp_path, capsys,
         assert rc == 1
         assert "error: lambda schedule has 3 entries" in capsys.readouterr().err
         assert ran == [] and not out.exists()
+
+
+def test_readme_config_table_is_the_key_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = []
+    for line in lines[lines.index("| key | default | meaning |") + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.split("|")[1:3]])
+    assert [key for key, _ in rows] == list(_SCHEMA)
+    defaults = default_config()
+    for key, shown in rows:
+        assert f"{key}={shown}\n" == format_config({key: defaults[key]}), key
 
 
 def test_default_config_digest_is_pinned():
