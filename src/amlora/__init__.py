@@ -8,7 +8,7 @@ reporting, and a numerical verifier showing that weight orthogonality does
 not prevent output drift.
 """
 
-from .adapters import AdapterStack, LoraAdapter, adapter_apply, merged_weight, new_adapter
+from .adapters import AdapterStack, LoraAdapter, new_adapter
 from .autodiff import Optimizer, Tensor, backward, finite_diff_check, no_grad
 from .baselines import METHODS, MethodSpec, make_driver
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -32,12 +32,11 @@ __all__ = [
     "ConfigError", "DimensionError", "GradientError", "LoraAdapter",
     "METHODS", "MethodSpec", "MetricsReport", "ModelConfig", "Optimizer",
     "StateError", "TaskSpec", "TaskStream", "Tensor", "TrainConfig",
-    "adapter_apply", "apply_overrides", "backward", "build_model",
-    "build_stream", "config_digest", "counterexample_1d", "counterexample_2d",
+    "apply_overrides", "backward", "build_model", "build_stream",
+    "config_digest", "counterexample_1d", "counterexample_2d",
     "counterexample_nd", "default_config", "emit_report", "evaluate",
-    "finite_diff_check", "gate", "generate_task",
-    "load_checkpoint", "load_config", "make_driver", "merged_weight",
-    "mixed_forward", "new_adapter", "no_grad", "parse_config",
-    "random_orthogonality_study", "run_stream", "save_checkpoint",
-    "sparsity_loss", "train_task", "trainable_set",
+    "finite_diff_check", "gate", "generate_task", "load_checkpoint",
+    "load_config", "make_driver", "mixed_forward", "new_adapter",
+    "no_grad", "parse_config", "random_orthogonality_study", "run_stream",
+    "save_checkpoint", "sparsity_loss", "train_task", "trainable_set",
 ]

@@ -91,9 +91,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -189,16 +186,6 @@ def relu(t: Tensor) -> Tensor:
     return _make("relu", (t,), data, bw)
 
 
-def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = t.data.shape
-    data = t.data.reshape(shape)
-
-    def bw(g):
-        _accum(t, g.reshape(old))
-
-    return _make("reshape", (t,), data, bw)
-
-
 def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(t.data, axes)
     inv = tuple(np.argsort(axes))
@@ -207,15 +194,6 @@ def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
         _accum(t, np.transpose(g, inv))
 
     return _make("transpose", (t,), data, bw)
-
-
-def sum_all(t: Tensor) -> Tensor:
-    data = np.asarray(t.data.sum())
-
-    def bw(g):
-        _accum(t, np.broadcast_to(g, t.data.shape).copy())
-
-    return _make("sum", (t,), data, bw)
 
 
 def mean_axis(t: Tensor, axis: int) -> Tensor:
@@ -240,18 +218,6 @@ def concat_last(parts: Iterable[Tensor]) -> Tensor:
             off += w
 
     return _make("concat", tuple(parts), data, bw)
-
-
-def index_last(t: Tensor, i: int) -> Tensor:
-    """Slice ``t[..., i:i+1]`` keeping the last axis."""
-    data = t.data[..., i:i + 1]
-
-    def bw(g):
-        full = np.zeros_like(t.data)
-        full[..., i:i + 1] = g
-        _accum(t, full)
-
-    return _make("index", (t,), data, bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -526,20 +492,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _make("cross_entropy", (logits,), data, bw)
 
 
-def l1_norm(t: Tensor) -> Tensor:
-    """Sum of absolute values; subgradient at exactly 0 is 0."""
-    data = np.asarray(np.abs(t.data).sum())
-
-    def bw(g):
-        _accum(t, np.sign(t.data) * float(g))
-
-    return _make("l1", (t,), data, bw)
-
-
 def l1_sum(ts: Sequence[Tensor], scale: float) -> Tensor:
     """``scale`` times the summed L1 norms of ``ts``, as one node.
 
-    Replaces ``mul(add(...add(l1_norm(t0), l1_norm(t1))...), scale)``.
+    Replaces ``mul(add(...add(l1_norm(t0), l1_norm(t1))...), scale)``, with
+    ``l1_norm`` from ``tests/reference.py``.
     """
     total = np.abs(ts[0].data).sum()
     for t in ts[1:]:

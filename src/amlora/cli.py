@@ -167,7 +167,8 @@ def _cmd_run(args) -> int:
         outcomes = list(map(_try_cell, cells))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork pool starts all its workers up front: one per cell at most
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(grid))) as pool:
             outcomes = list(pool.map(_try_cell, cells))
 
     for (m, o, s), (rep, error) in zip(grid, outcomes):
@@ -337,12 +338,21 @@ def _cmd_report(args) -> int:
         for row in rows:
             try:
                 key = (row["method"], int(row["seed"]), row["order_id"])
-                cell = (int(row["after_task"]), int(row["eval_task"]))
-                acc.setdefault(key, {})[cell] = float(row["accuracy"])
+                t, i = int(row["after_task"]), int(row["eval_task"])
+                value = float(row["accuracy"])
             except KeyError as exc:
                 raise ConfigError(f"{path} has no {exc} column") from None
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{path} line {rows.line_num}: {exc}") from None
+            cells = acc.setdefault(key, {})
+            for bad, why in (
+                ((t, i) in cells, f"repeats the row {key + (t, i)}"),
+                (not 0 <= i <= t, f"eval_task {i} not in [0, after_task {t}]"),
+                (not 0 <= value <= 1, f"accuracy {value} not in [0, 1]"),
+            ):
+                if bad:
+                    raise ConfigError(f"{path} line {rows.line_num}: {why}")
+            cells[(t, i)] = value
     per_method = {}
     for key, cells in acc.items():
         n = max(t for t, _ in cells) + 1

@@ -6,11 +6,10 @@ and the owner fields it sets are defined; no default is written here, each
 key takes its first owner's keyword default. A parser checks type,
 finiteness, choice and the seed's sign. Every other range rule lives with
 the object that reads the value, and ``check_config`` builds those objects
-once. ``lambda``
-accepts a single float or a comma-separated per-task schedule of at most
-``tasks`` entries, the last repeated for later tasks. The digest
-is a sha256 over the canonical serialization, so two runs with the same
-digest ran the same configuration.
+once. ``lambda`` accepts a single float or a comma-separated per-task
+schedule of at most ``tasks`` entries, the last repeated for later tasks.
+The digest is a sha256 over the canonical serialization, so two runs with
+the same digest ran the same configuration.
 """
 
 from __future__ import annotations

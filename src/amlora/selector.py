@@ -6,8 +6,8 @@ each route's output is scored by its head, the scores are softmaxed, and the
 gated sum is added to the base projection. Heads start at zero, so gates start
 exactly uniform. An L1 penalty on the heads makes the gate vector sparse.
 ``apply_gated`` and ``sparsity_loss`` are the training path, one fused tape
-node per site each; ``gate`` with ``AdapterStack.outputs`` is the per-op
-reference path they are tested against.
+node per site each; ``gate`` with ``stack_outputs`` and ``l1_norm`` from
+``tests/reference.py`` is the per-op reference path they are tested against.
 """
 
 from __future__ import annotations
@@ -75,10 +75,11 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
     routes of the output times its head (the zero route scores 0 and
     adds nothing); without one every weight is 1, the unweighted sum of
     sinlora and inclora. Records one ``adapter_bank`` tape node, whose values
-    and gradients equal ``stack.outputs`` + ``gate`` + an
-    ``index_last``/``mul``/``add`` chain bit for bit. When ``capture`` is a
-    dict and a selector is given, the gate values are stored under
-    ``"gates"`` for inspection; gradients are unaffected.
+    and gradients equal bit for bit those of the reference chain in
+    ``tests/reference.py``: ``stack_outputs``, ``gate``, then an
+    ``index_last``/``mul``/``add`` mix. When ``capture`` is a dict and a
+    selector is given, the gate values are stored under ``"gates"`` for
+    inspection; gradients are unaffected.
     """
     adapters = stack.task_adapters
     for a in adapters:

@@ -12,6 +12,7 @@ from amlora.checkpoint import (_read_records, load_checkpoint,
                                save_checkpoint)
 from amlora.errors import CheckpointFormatError
 from amlora.model import ModelConfig, build_model
+from reference import frozen
 
 CFG = ModelConfig(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
                   seq_len=6, num_classes=3, dropout_rate=0.0,
@@ -73,7 +74,7 @@ def test_loaded_model_is_inert(tmp_path):
     loaded = load_checkpoint(path)
     assert all(not p.requires_grad for _, p in loaded.base_parameters())
     for site in loaded.sites.values():
-        assert all(a.frozen for a in site.stack.task_adapters)
+        assert all(frozen(a) for a in site.stack.task_adapters)
         assert all(not h.requires_grad for h in site.selector.heads)
 
 

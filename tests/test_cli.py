@@ -283,7 +283,21 @@ METRICS_HEADER = "method,seed,order_id,after_task,eval_task,accuracy\r\n"
     (METRICS_HEADER + "amlora,0,order1,1,0,0.5\r\namlora,0,order1,1,1,0.5\r\n",
      "metrics.csv has no row for (after_task, eval_task)=(0, 0) of "
      "(method, seed, order_id)=('amlora', 0, 'order1')"),
-], ids=["missing-column", "bad-seed", "missing-cell"])
+    (METRICS_HEADER + "amlora,0,order1,0,0,0.5\r\namlora,0,order1,0,0,0.1\r\n",
+     "metrics.csv line 3: repeats the row ('amlora', 0, 'order1', 0, 0)"),
+    (METRICS_HEADER + "amlora,0,order1,0,0,0.5\r\namlora,0,order1,0,3,0.5\r\n",
+     "metrics.csv line 3: eval_task 3 not in [0, after_task 0]"),
+    (METRICS_HEADER + "amlora,0,order1,-2,0,0.5\r\n",
+     "metrics.csv line 2: eval_task 0 not in [0, after_task -2]"),
+    (METRICS_HEADER + "amlora,0,order1,0,-1,0.5\r\n",
+     "metrics.csv line 2: eval_task -1 not in [0, after_task 0]"),
+    (METRICS_HEADER + "amlora,0,order1,0,0,1.5\r\n",
+     "metrics.csv line 2: accuracy 1.5 not in [0, 1]"),
+    (METRICS_HEADER + "amlora,0,order1,0,0,nan\r\n",
+     "metrics.csv line 2: accuracy nan not in [0, 1]"),
+], ids=["missing-column", "bad-seed", "missing-cell", "repeated-row",
+        "eval-task-after-after-task", "negative-after-task",
+        "negative-eval-task", "accuracy-above-1", "accuracy-nan"])
 def test_report_malformed_metrics_exit_1(tmp_path, capsys, text, message):
     (tmp_path / "metrics.csv").write_bytes(text.encode("utf-8"))
     rc = parse_and_dispatch(["report", "--out-dir", str(tmp_path)])

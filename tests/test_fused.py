@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from amlora import autodiff as ad
-from amlora.adapters import AdapterStack, adapter_apply
+from amlora.adapters import AdapterStack
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.baselines import make_driver
 from amlora.configfile import default_config, to_method_spec, to_model_config
 from amlora.model import build_model
 from amlora.selector import (AttentionalSelector, apply_gated, gate,
                              sparsity_loss)
+from reference import (adapter_apply, frozen, index_last, l1_norm, reshape,
+                       stack_outputs, sum_all)
 
 
 def _leaf(rng, shape):
@@ -31,7 +33,7 @@ def test_linear_grads_match_finite_difference(shape):
     weights = Tensor(rng.normal(size=shape[:-1] + (6,)))
 
     def loss(_):
-        return ad.sum_all(ad.mul(ad.relu(ad.linear(x, w, b)), weights))
+        return sum_all(ad.mul(ad.relu(ad.linear(x, w, b)), weights))
 
     assert finite_diff_check(loss, [x, w, b]) < 1e-6
 
@@ -45,7 +47,7 @@ def test_attention_grads_match_finite_difference(frozen):
     weights = Tensor(rng.normal(size=(2, 3, 4)))
 
     def loss(_):
-        return ad.sum_all(ad.mul(ad.attention(q, k, v, 2), weights))
+        return sum_all(ad.mul(ad.attention(q, k, v, 2), weights))
 
     assert finite_diff_check(loss, [q, k, v]) < 1e-6
 
@@ -81,11 +83,11 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
     weights = Tensor(rng.normal(size=shape + (6,)))
     current = stack.task_adapters[-1]
     heads = [] if sel is None else [h for h in sel.heads if h.requires_grad]
-    assert all(a.frozen for a in stack.task_adapters[:-1])
+    assert all(frozen(a) for a in stack.task_adapters[:-1])
 
     def loss(_):
         out = apply_gated(base, stack, sel, x)
-        total = ad.sum_all(ad.mul(out, weights))
+        total = sum_all(ad.mul(out, weights))
         if sel is None:
             return total
         return ad.add(total, sparsity_loss(sel, 0.01))
@@ -105,19 +107,19 @@ def _reference_gated(base, stack, selector, x):
         for adapter in stack.task_adapters:
             h = ad.add(h, adapter_apply(adapter, x))
         return h
-    outputs = stack.outputs(x)
+    outputs = stack_outputs(stack, x)
     gates = gate(selector, outputs)
     h = base
     for i, out in enumerate(outputs):
         if i:
-            h = ad.add(h, ad.mul(ad.index_last(gates, i), out))
+            h = ad.add(h, ad.mul(index_last(gates, i), out))
     return h
 
 
 def _reference_sparsity(selector, lam):
-    total = ad.l1_norm(selector.heads[0])
+    total = l1_norm(selector.heads[0])
     for h in selector.heads[1:]:
-        total = ad.add(total, ad.l1_norm(h))
+        total = ad.add(total, l1_norm(h))
     return ad.mul(total, lam)
 
 
@@ -136,8 +138,8 @@ def _run(fused: bool, n, gated, variant, shape, seed):
         base = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
         out = _reference_gated(base, stack, sel, x)
     # x feeds a second consumer, so the order of its contributions counts
-    loss = ad.add(ad.sum_all(ad.mul(out, weights)),
-                  ad.sum_all(ad.mul(ad.relu(x), weights.data[..., :4])))
+    loss = ad.add(sum_all(ad.mul(out, weights)),
+                  sum_all(ad.mul(ad.relu(x), weights.data[..., :4])))
     if gated:
         loss = ad.add(loss, sparsity_loss(sel, 1e-3) if fused
                       else _reference_sparsity(sel, 1e-3))
@@ -179,7 +181,7 @@ def test_attention_is_bit_identical_to_the_op_chain():
     dh = d // nh
 
     def split(t):
-        return ad.transpose(ad.reshape(t, (b, L, nh, dh)), (0, 2, 1, 3))
+        return ad.transpose(reshape(t, (b, L, nh, dh)), (0, 2, 1, 3))
 
     def run(fused):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in raw]
@@ -190,9 +192,9 @@ def test_attention_is_bit_identical_to_the_op_chain():
             sq, sk, sv = split(q), split(k), split(v)
             scores = ad.mul(ad.matmul(sq, ad.transpose(sk, (0, 1, 3, 2))),
                             1.0 / math.sqrt(dh))
-            ctx = ad.reshape(ad.transpose(
+            ctx = reshape(ad.transpose(
                 ad.matmul(ad.softmax(scores), sv), (0, 2, 1, 3)), (b, L, d))
-        ad.backward(ad.sum_all(ad.mul(ctx, weights)))
+        ad.backward(sum_all(ad.mul(ctx, weights)))
         return ctx.data.tobytes(), [t.grad.tobytes() for t in leaves]
 
     raw = [rng.normal(size=(b, L, d)) for _ in range(3)]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from amlora import autodiff as ad
-from amlora.adapters import AdapterStack, merged_weight
+from amlora.adapters import AdapterStack
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError
 from amlora.model import ADAPTER_SITES, Backbone, ModelConfig, build_model
 from amlora.selector import AttentionalSelector
+from reference import merged_weight
 
 SMALL = dict(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
              seq_len=6, num_classes=3, dropout_rate=0.0)

@@ -1,9 +1,10 @@
 """One way to do each thing: ops go through the functional autodiff API,
 evaluation has one batch default, report rows are built once, what a method
 attaches decides each site's forward, each verb accepts only the inputs it
-reads, each value has one owner, and each choice set and rule is defined
-once."""
+reads, each value has one owner, each choice set and rule is defined once,
+and the per-op reference path lives with the tests, not in the package."""
 
+import ast
 import csv
 import dataclasses
 import inspect
@@ -234,3 +235,31 @@ def test_each_choice_set_and_the_sites_rule_are_defined_once():
     assert not hasattr(configfile, "parse_seed")
     assert "valid" not in inspect.signature(cli._parse_csv_list).parameters
     assert not hasattr(cli, "METHODS") and not hasattr(cli, "ORDERS")
+
+
+# the chains and dense views that only tests read, now in tests/reference.py
+REFERENCE_ONLY = {"adapter_apply", "merged_weight", "materialized", "frozen",
+                  "outputs", "l1_norm", "index_last", "reshape", "sum_all",
+                  "item"}
+
+
+def test_the_package_defines_no_reference_only_name():
+    src = os.path.dirname(amlora.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    defined = []
+                offenders += [(name, d) for d in defined
+                              if d in REFERENCE_ONLY]
+    assert offenders == []
+    assert REFERENCE_ONLY.isdisjoint(amlora.__all__)

@@ -1,6 +1,7 @@
 """`run --jobs N` runs grid cells in worker processes; output bytes do not
 depend on N. Also pins what `mtl` trains on."""
 
+import concurrent.futures
 import csv
 import multiprocessing
 import os
@@ -61,6 +62,32 @@ def test_jobs_2_runs_cells_outside_this_process(tmp_path, monkeypatch):
     parent = str(os.getpid())
     assert pids[1] == {parent}
     assert parent not in pids[2]
+
+
+def test_jobs_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes up front; the fake starts
+    # none and maps the cells in this process
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    for jobs, workers in ((64, 4), (3, 3)):
+        out = str(tmp_path / f"j{jobs}")
+        assert parse_and_dispatch(_grid(out, jobs)) == 0
+        assert len(_read_rows(os.path.join(out, "summary.csv"))) == 4
+        assert asked.pop() == workers and not asked
 
 
 def test_output_bytes_do_not_depend_on_jobs(tmp_path, capsys):

@@ -9,6 +9,7 @@ from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, StateError
 from amlora.selector import (AttentionalSelector, apply_gated, gate,
                              mixed_forward, sparsity_loss, trainable_set)
+from reference import materialized, stack_outputs
 
 
 def make_stack(n_tasks, d_out=6, d_in=4, rank=2, alpha=4.0, spread=0.5):
@@ -38,7 +39,7 @@ def test_fresh_gates_are_uniform():
         stack = make_stack(n)
         sel = AttentionalSelector(len(stack), stack.d_out)
         x = Tensor(np.random.default_rng(n).normal(size=(7, 4)))
-        gates = gate(sel, stack.outputs(x))
+        gates = gate(sel, stack_outputs(stack, x))
         assert gates.data.shape == (7, n + 1)
         assert np.max(np.abs(gates.data - 1.0 / (n + 1))) <= 1e-12
 
@@ -51,7 +52,7 @@ def test_gate_rows_sum_to_one_fuzzed():
         for h in sel.heads:
             h.data = rng.normal(0.0, 2.0, size=h.data.shape)
         x = Tensor(rng.normal(size=(5, 4)))
-        gates = gate(sel, stack.outputs(x))
+        gates = gate(sel, stack_outputs(stack, x))
         assert np.max(np.abs(gates.data.sum(axis=-1) - 1.0)) <= 1e-10
 
 
@@ -59,7 +60,7 @@ def test_gate_3d_shapes():
     stack = make_stack(2)
     sel = AttentionalSelector(len(stack), stack.d_out)
     x = Tensor(np.random.default_rng(5).normal(size=(3, 9, 4)))
-    gates = gate(sel, stack.outputs(x))
+    gates = gate(sel, stack_outputs(stack, x))
     assert gates.data.shape == (3, 9, 3)
 
 
@@ -68,7 +69,7 @@ def test_stale_selector_raises():
     sel = AttentionalSelector(2, stack.d_out)  # one head short
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(StateError, match="stale"):
-        gate(sel, stack.outputs(x))
+        gate(sel, stack_outputs(stack, x))
 
 
 def test_extend_for_task():
@@ -97,7 +98,7 @@ def test_uniform_gate_reduction():
         got = mixed_forward(w0, stack, sel, x).data
         expect = x.data @ w0.data.T
         for a in stack.task_adapters:
-            expect = expect + (x.data @ a.materialized().T) / (n + 1)
+            expect = expect + (x.data @ materialized(a).T) / (n + 1)
         assert np.max(np.abs(got - expect)) <= 1e-10
 
 
@@ -112,7 +113,7 @@ def test_mixed_forward_matches_numpy_oracle():
     got = mixed_forward(w0, stack, sel, x).data
 
     outs = [np.zeros((5, stack.d_out))]
-    outs += [x.data @ a.materialized().T for a in stack.task_adapters]
+    outs += [x.data @ materialized(a).T for a in stack.task_adapters]
     logits = np.stack([o @ h.data[:, 0] for o, h in zip(outs, sel.heads)],
                       axis=-1)
     z = np.exp(logits - logits.max(axis=-1, keepdims=True))
