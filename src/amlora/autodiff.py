@@ -560,6 +560,14 @@ def reset_tape():
 OPTIMIZERS = ("adam", "sgd")
 
 
+def check_lr(name: str, lr: float) -> None:
+    """The one rule for a learning rate: finite and >= 0."""
+    if not math.isfinite(lr):
+        raise ConfigError(f"{name} must be finite, got {lr}")
+    if lr < 0:
+        raise ConfigError(f"{name} must be >= 0, got {lr}")
+
+
 class Optimizer:
     """SGD / Adam over an explicit set of trainable tensors, in one flat update.
 
@@ -576,8 +584,7 @@ class Optimizer:
                  lr: float = 1e-4):
         if kind not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {kind!r}")
-        if lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {lr}")
+        check_lr("lr", lr)
         self.kind = kind
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8

@@ -95,13 +95,17 @@ def _out_dir(args) -> str:
 
 
 def _parse_csv_list(text: str | None, key: str, flag: str, cfg: dict) -> list:
-    """Each item parsed as config ``key``; the config's value if no flag."""
+    """Items parsed as config ``key``, none twice, or the config's value."""
     if text is None:
         return [cfg[key]]
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{key} list is empty")
-    return [parse_value(key, s, flag) for s in items]
+    values = [parse_value(key, s, flag) for s in items]
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{flag} lists {v!r} twice")
+    return values
 
 
 def _effective_config(args) -> dict:
@@ -201,47 +205,37 @@ def _check(label: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def _exact(case, out_a, out_ab) -> bool:
+    """Whether a construction has zero residual and exactly these outputs."""
+    return (case.residual == 0.0 and np.array_equal(case.out_a, out_a)
+            and np.array_equal(case.out_ab, out_ab))
+
+
 def _cmd_verify_ortho(args) -> int:
     out_dir = _out_dir(args)
-    ok = True
-    c1 = ortho.counterexample_1d()
-    ok &= _check("1d", c1.residual == 0.0
-                 and np.array_equal(c1.out_a, [1.0])
-                 and np.array_equal(c1.out_ab, [-1.0]),
-                 f"sin outputs {c1.out_a[0]:+.0f} vs {c1.out_ab[0]:+.0f}, "
-                 f"residual {c1.residual}")
-    c2 = ortho.counterexample_2d()
-    ok &= _check("2d", c2.residual == 0.0
-                 and np.array_equal(c2.out_a, [1.0, 0.0])
-                 and np.array_equal(c2.out_ab, [0.0, 1.0]),
+    c1, c2 = ortho.counterexample_1d(), ortho.counterexample_2d()
+    nd = [ortho.counterexample_nd(n) for n in ND_SIZES]
+    studies = [ortho.random_orthogonality_study(8, args.trials, nl, seed=0)
+               for nl in ortho.NONLINEARITIES]
+    summaries = [s for _, s in studies]
+    ok = _check("1d", _exact(c1, [1.0], [-1.0]),
+                f"sin outputs {c1.out_a[0]:+.0f} vs {c1.out_ab[0]:+.0f}, "
+                f"residual {c1.residual}")
+    ok &= _check("2d", _exact(c2, [1.0, 0.0], [0.0, 1.0]),
                  f"outputs {c2.out_a.tolist()} vs {c2.out_ab.tolist()}, "
                  f"residual {c2.residual}")
-    nd = [ortho.counterexample_nd(n) for n in ND_SIZES]
-    nd_ok = True
-    for n, c in zip(ND_SIZES, nd):
-        e1 = np.zeros(n)
-        e1[0] = 1.0
-        en = np.zeros(n)
-        en[-1] = 1.0
-        nd_ok &= (c.residual == 0.0 and np.array_equal(c.out_a, e1)
-                  and np.array_equal(c.out_ab, en)
-                  and abs(c.deviation - math.sqrt(2.0)) < 1e-12)
-    ok &= _check("nd", nd_ok,
+    ok &= _check("nd", all(_exact(c, np.eye(c.n)[0], np.eye(c.n)[-1])
+                           and abs(c.deviation - math.sqrt(2.0)) < 1e-12
+                           for c in nd),
                  f"e1 vs en with deviation sqrt(2) for n in {ND_SIZES}")
-    trials = []
-    summaries = []
-    study_ok = True
-    for nl in ortho.NONLINEARITIES:
-        t, s = ortho.random_orthogonality_study(8, args.trials, nl, seed=0)
-        trials.extend(t)
-        summaries.append(s)
-        study_ok &= s.max_residual < 1e-10 and s.mean_deviation > 1e-6
-    ok &= _check("study", study_ok,
+    ok &= _check("study", all(s.max_residual < 1e-10 and s.mean_deviation > 1e-6
+                              for s in summaries),
                  f"{args.trials} trials per nonlinearity at n=8, "
                  f"max residual {max(s.max_residual for s in summaries):.2e}")
     text = ortho.format_summary([c1] + nd, summaries)
     print(text, end="")
-    ortho.write_ortho_report(trials, text, out_dir)
+    ortho.write_ortho_report([t for trials, _ in studies for t in trials],
+                             text, out_dir)
     print(f"wrote {out_dir}/ortho_report.csv and ortho_summary.txt")
     return 0 if ok else 2
 
@@ -315,13 +309,11 @@ def _cmd_inspect_gates(args) -> int:
             mean = g.reshape(-1, g.shape[-1]).mean(axis=0)
             rows.append((name, i, mean))
     print("mean gate weight per adapter (column 0 is the zero adapter):")
+    lines = ["site,eval_task,adapter_index,mean_gate"]
     for name, i, mean in rows:
         vals = " ".join(f"{v:.3f}" for v in mean)
         print(f"  {name:<18} eval_task={i}  [{vals}]")
-    lines = ["site,eval_task,adapter_index,mean_gate"]
-    for name, i, mean in rows:
-        for j, v in enumerate(mean):
-            lines.append(f"{name},{i},{j},{repr(float(v))}")
+        lines += [f"{name},{i},{j},{float(v)!r}" for j, v in enumerate(mean)]
     atomic_write(os.path.join(out_dir, "gates.csv"), "\n".join(lines) + "\n")
     print(f"wrote {out_dir}/gates.csv")
     return 0
@@ -353,6 +345,8 @@ def _cmd_report(args) -> int:
                 if bad:
                     raise ConfigError(f"{path} line {rows.line_num}: {why}")
             cells[(t, i)] = value
+    if not acc:
+        raise ConfigError(f"{path} has no rows")
     per_method = {}
     for key, cells in acc.items():
         n = max(t for t, _ in cells) + 1

@@ -43,11 +43,13 @@ class TrainConfig:
     pretrain_lr: float = 1e-3
 
     def validate(self):
-        for name, least in (("epochs", 1), ("lr", 0), ("batch_size", 1),
-                            ("pretrain_epochs", 0), ("pretrain_lr", 0)):
+        for name, least in (("epochs", 1), ("batch_size", 1),
+                            ("pretrain_epochs", 0)):
             v = getattr(self, name)
             if v < least:
                 raise ConfigError(f"{name} must be >= {least}, got {v}")
+        ad.check_lr("lr", self.lr)
+        ad.check_lr("pretrain_lr", self.pretrain_lr)
 
 
 @dataclass
@@ -124,6 +126,8 @@ def evaluate(model: Backbone, data: TaskData, batch: int = 200) -> float:
     BLAS picks its kernel by row count; the mlp's layers are such 2-d GEMMs
     too, so it keeps one part per chunk, and one part starts no thread.
     """
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     x, y = data.eval_x, data.eval_y
     if x.shape[0] == 0:
         raise StateError("eval split is empty")

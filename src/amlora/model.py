@@ -170,19 +170,15 @@ class Backbone:
     def _per_distinct_token(self, ids, lins) -> list[Tensor]:
         """Each of ``lins`` on the embeddings of ``ids``, run once per
         distinct (position, token). Column p of a ``(U, L)`` table holds the
-        tokens seen at position p, short columns padded with row 0's token,
-        so every token keeps its row index p in an L-row product."""
-        b, L = ids.shape
-        vocab = self.config.vocab_size
-        key = ids.astype(np.int64) + np.arange(L) * vocab
-        keys, inv = np.unique(key.ravel(), return_inverse=True)
-        pos = keys // vocab
-        counts = np.bincount(pos, minlength=L)
-        rank = np.arange(keys.size) - (np.cumsum(counts) - counts)[pos]
-        table = np.repeat(ids[:1], counts.max(), axis=0)
-        table[rank, pos] = keys % vocab
+        tokens present at p, ranked by a ``(vocab, L)`` mask's column cumsum,
+        and token 0 in unused cells; a token keeps row p of its L-row GEMM."""
+        cols = np.arange(ids.shape[1])
+        mask = np.zeros((self.config.vocab_size, cols.size), bool)
+        mask[ids, cols] = True
+        rows = (mask.cumsum(axis=0) - 1)[ids, cols]
+        table = np.zeros((rows.max() + 1, cols.size), ids.dtype)
+        table[rows, cols] = ids
         emb = ad.embedding(self.embedding, table)
-        rows, cols = rank[inv].reshape(b, L), np.arange(L)
         return [Tensor(lin.forward(emb).data[rows, cols]) for lin in lins]
 
     def _dense_features(self, batch, drop, rng) -> Tensor:

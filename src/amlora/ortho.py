@@ -70,13 +70,8 @@ def counterexample_nd(n: int) -> CounterexampleResult:
     """A = e1 e1^T, B = en en^T, x = e1 - en, linear f; outputs e1 vs en."""
     if n < 2:
         raise ConfigError(f"n-dimensional construction needs n >= 2, got {n}")
-    A = np.zeros((n, n))
-    A[0, 0] = 1.0
-    B = np.zeros((n, n))
-    B[n - 1, n - 1] = 1.0
-    x = np.zeros(n)
-    x[0] = 1.0
-    x[n - 1] = -1.0
+    e1, en = np.eye(n)[0], np.eye(n)[-1]
+    A, B, x = np.outer(e1, e1), np.outer(en, en), e1 - en
     f = np.zeros((n, n))
     f[0, 0] = 1.0
     f[0, n - 1] = 1.0

@@ -172,6 +172,13 @@ def test_optimizer_bad_kind_or_lr_is_a_config_error():
     assert issubclass(ConfigError, ValueError)  # callers catching ValueError
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+def test_optimizer_rejects_a_non_finite_lr(lr):
+    p = Tensor([1.0], requires_grad=True)
+    with pytest.raises(ConfigError, match=r"^lr must be finite, got "):
+        Optimizer([p], lr=lr)
+
+
 def test_optimizer_step_without_grad_fails():
     p = Tensor([1.0], requires_grad=True)
     opt = Optimizer([p])

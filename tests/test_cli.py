@@ -295,9 +295,12 @@ METRICS_HEADER = "method,seed,order_id,after_task,eval_task,accuracy\r\n"
      "metrics.csv line 2: accuracy 1.5 not in [0, 1]"),
     (METRICS_HEADER + "amlora,0,order1,0,0,nan\r\n",
      "metrics.csv line 2: accuracy nan not in [0, 1]"),
+    ("", "metrics.csv has no rows"),
+    (METRICS_HEADER, "metrics.csv has no rows"),
 ], ids=["missing-column", "bad-seed", "missing-cell", "repeated-row",
         "eval-task-after-after-task", "negative-after-task",
-        "negative-eval-task", "accuracy-above-1", "accuracy-nan"])
+        "negative-eval-task", "accuracy-above-1", "accuracy-nan",
+        "empty-file", "header-only"])
 def test_report_malformed_metrics_exit_1(tmp_path, capsys, text, message):
     (tmp_path / "metrics.csv").write_bytes(text.encode("utf-8"))
     rc = parse_and_dispatch(["report", "--out-dir", str(tmp_path)])

@@ -47,6 +47,13 @@ def test_train_config_validation():
     TrainConfig(lr=0.0).validate()  # zero is a legal no-op rate
 
 
+@pytest.mark.parametrize("name", ["lr", "pretrain_lr"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_a_non_finite_rate(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+        TrainConfig(**{name: value}).validate()
+
+
 def test_report_forgetting_oracle():
     r = MetricsReport(method="x", seed=0, order_id="order1",
                       acc=[[0.9], [0.5, 0.8], [0.4, 0.7, 0.95]])
@@ -127,6 +134,15 @@ def test_evaluate_batching_invariance():
     model = build_model(MODEL, seed=2)
     data = generate_task(small_stream().tasks[0])
     assert evaluate(model, data, batch=3) == evaluate(model, data, batch=200)
+
+
+@pytest.mark.parametrize("batch", [0, -5])
+def test_evaluate_rejects_a_batch_below_1(batch, monkeypatch):
+    model = build_model(MODEL, seed=2)
+    data = generate_task(small_stream().tasks[0])
+    monkeypatch.setattr(model, "features", None)  # no chunk may run
+    with pytest.raises(ConfigError, match=f"^batch must be >= 1, got {batch}$"):
+        evaluate(model, data, batch=batch)
 
 
 def test_pretrain_base_deterministic():

@@ -83,6 +83,19 @@ def test_vocab_and_shape_validation():
         m.forward(token_batch(), mode="test")
 
 
+def test_no_grad_forward_sorts_nothing(monkeypatch):
+    # layer 0's distinct-token table is found with a presence mask, not a sort
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted at inference")
+
+    m = build_model(ModelConfig(), seed=0)
+    ids = token_batch(cfg_vocab=128, b=100, L=16)
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, no_sort)
+    with ad.no_grad():
+        assert m.forward(ids).data.shape == (100, 4)
+
+
 def test_single_layer_attention_numpy_oracle():
     # Re-derive one encoder layer with raw numpy and compare end to end.
     m = small_model(seed=7)

@@ -84,6 +84,28 @@ def test_empty_method_or_order_list_is_a_config_error(tmp_path, capsys, flag,
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("flag,text,item", [
+    ("--seeds", "0,0", "0"), ("--seeds", "1,0,00", "0"),
+    ("--methods", "seqft,seqft", "'seqft'"),
+    ("--orders", "order1,order1", "'order1'")])
+def test_repeated_list_item_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                              flag, text, item):
+    # a repeated item would write each of its metrics.csv rows twice, which
+    # report rejects; it is compared after parsing, so 0 and 00 repeat
+    ran = []
+    monkeypatch.setattr(cli, "_try_cell", ran.append)
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(["run", "--out-dir", str(out), flag, text] + _ov())
+    assert rc == 1
+    assert f"error: {flag} lists {item} twice" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+    # distinct order ids stay legal even where they give the same stream
+    cfg = configfile.check_config(configfile.apply_overrides(
+        configfile.default_config(), ["tasks=3"]))
+    assert cli._parse_csv_list("order1,order2", "order", "--orders",
+                               cfg) == ["order1", "order2"]
+
+
 def test_inspect_gates_takes_one_seed(tmp_path, capsys, monkeypatch):
     trained = []
     monkeypatch.setattr(cli, "_run_cell", lambda *a: trained.append(a))
