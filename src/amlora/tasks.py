@@ -12,6 +12,11 @@ Two generators:
 Generation is a pure function of the spec: train and eval splits use
 disjoint sub-seeds and, for token tasks, eval rows colliding with train rows
 are resampled so the splits are disjoint by construction.
+
+``_token_row`` defines a token row's draws. ``_replay_rows`` builds a class's
+rows at once from the generator's raw 64-bit words, with the same bytes and
+the generator left in the same state, and a class falls back to row-by-row
+draws in the rare case where numpy would reject a bounded draw.
 """
 
 from __future__ import annotations
@@ -92,7 +97,11 @@ def _background_count(params: dict) -> int:
 
 
 def _token_row(p: dict, sig: np.ndarray, bg: int, rng: np.random.Generator):
-    """Background tokens with a signature token at each p_sig position."""
+    """Background tokens with a signature token at each p_sig position.
+
+    This defines a row's draws. ``_replay_rows`` builds a class's rows at
+    once; eval resampling, and a class the replay declines, draw here.
+    """
     L = p["seq_len"]
     use_sig = rng.random(L) < p["p_sig"]
     toks = rng.integers(0, max(bg, 1), size=L)
@@ -100,40 +109,95 @@ def _token_row(p: dict, sig: np.ndarray, bg: int, rng: np.random.Generator):
     return toks
 
 
+def _replay_rows(p: dict, sig: np.ndarray, bg: int, out: np.ndarray,
+                 rng: np.random.Generator) -> bool:
+    """Fill ``out`` with the rows ``_token_row`` draws for the signature
+    tokens ``sig``, built in bulk; False if it cannot.
+
+    ``random`` takes one 64-bit word per value; ``integers`` takes 32-bit
+    values, each word giving its low half and keeping its high half for the
+    next 32-bit draw, and a range of 1 draws nothing. So only a row's
+    signature count moves where the next row's words start: one walk places
+    every row, and numpy builds the tokens. Returns False with ``rng``
+    untouched when numpy would reject a draw (Lemire's method; never for a
+    power-of-two range) or ``rng`` is not a PCG64; else ``rng`` ends where
+    the rows leave it.
+    """
+    n, L = out.shape
+    m_bg, m_sig = max(bg, 1), p["sig_tokens_per_class"]
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    if saved["bit_generator"] != "PCG64" or max(m_bg, m_sig) > 2**32:
+        return False
+    kept = saved["has_uint32"]  # 1: an earlier word's high half is waiting
+    per_bg = L if m_bg > 1 else 0  # 32-bit draws for a row's background
+    per_sig = 1 if m_sig > 1 else 0  # 32-bit draws per signature token
+    words = bitgen.random_raw(n * (2 * L + 1))  # enough if none is rejected
+    is_sig = (words >> 11) * 2.0**-53 < p["p_sig"]  # each word as random()
+    marks = np.zeros(len(words) + 1, dtype=np.int64)
+    np.cumsum(is_sig, out=marks[1:])
+    cum = memoryview(marks)
+    starts = np.empty(n, dtype=np.int64)
+    drawn = kept  # 32-bit halves so far, the waiting one as a 2nd half
+    for r in range(n):
+        w = r * L + (drawn + 1) // 2 - kept
+        starts[r] = w
+        drawn += per_bg + per_sig * (cum[w + L] - cum[w])
+    cols = starts[:, None] + np.arange(L)
+    use_sig = is_sig[cols]
+    k = use_sig.sum(axis=1)
+    used = n * L + (drawn + 1) // 2 - kept
+    paired = np.ones(used, dtype=bool)
+    paired[cols] = False
+    pair_words = words[:used][paired]
+    if kept:
+        waiting = np.array([saved["uinteger"] << 32], dtype=np.uint64)
+        pair_words = np.concatenate((waiting, pair_words))
+    halves = pair_words.astype("<u8", copy=False).view("<u4")
+    counts = per_bg + per_sig * k
+    bg_draws = (np.cumsum(counts) - counts)[:, None] + np.arange(per_bg)
+    is_pick = np.ones(drawn - kept, dtype=bool)
+    is_pick[bg_draws] = False
+    m = np.where(is_pick, np.uint64(m_sig), np.uint64(m_bg))
+    prod = halves[kept:drawn].astype(np.uint64) * m
+    bitgen.state = saved
+    if ((prod & 0xFFFFFFFF) < (2**32 - m) % m).any():
+        return False
+    draws = (prod >> 32).astype(np.int64)
+    out[...] = draws[bg_draws] if per_bg else 0
+    out[use_sig] = sig[draws[is_pick]] if per_sig else sig[:1]
+    bitgen.advance(used)  # this drops the waiting half, so set it again
+    if drawn % 2:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(halves[drawn])
+        bitgen.state = state
+    return True
+
+
 def _token_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
     p = spec.params
-    L = p["seq_len"]
     bg = _background_count(p)
-    n = per_class * spec.num_classes
-    x = np.empty((n, L), dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    row = 0
-    for cls in range(spec.num_classes):
+    x = np.empty((per_class * spec.num_classes, p["seq_len"]), dtype=np.int64)
+    for cls in range(spec.num_classes):  # a class at a time keeps temps small
         sig = signature_tokens(p, spec.task_id, cls)
-        for _ in range(per_class):
-            x[row] = _token_row(p, sig, bg, rng)
-            y[row] = cls
-            row += 1
-    return x, y
+        rows = x[cls * per_class:(cls + 1) * per_class]
+        if not _replay_rows(p, sig, bg, rows, rng):
+            for row in rows:
+                row[:] = _token_row(p, sig, bg, rng)
+    return x, np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
 
 
 def _gaussian_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
     p = spec.params
-    dim = p["dim"]
     radius = p["radius"]
-    noise = p["noise_std"]
-    rotation = p["rotation"]
-    n = per_class * spec.num_classes
-    x = rng.normal(0.0, noise, size=(n, dim))
-    y = np.empty(n, dtype=np.int64)
-    row = 0
+    x = rng.normal(0.0, p["noise_std"], size=(per_class * spec.num_classes,
+                                              p["dim"]))
     for cls in range(spec.num_classes):
-        angle = 2.0 * math.pi * cls / spec.num_classes + rotation
-        for _ in range(per_class):
-            x[row, 0] += radius * math.cos(angle)
-            x[row, 1] += radius * math.sin(angle)
-            y[row] = cls
-            row += 1
+        angle = 2.0 * math.pi * cls / spec.num_classes + p["rotation"]
+        block = slice(cls * per_class, (cls + 1) * per_class)
+        x[block, 0] += radius * math.cos(angle)
+        x[block, 1] += radius * math.sin(angle)
+    y = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
     return x, y
 
 

@@ -7,9 +7,15 @@ runs a site's L1 term as one node. The chains below are those ops written
 out one by one, plus the dense views of an adapter that the oracle tests
 compare against. None of them runs in a training step or an evaluation, so
 they live here, next to the tests that read them.
+
+The task generators' per-row loops are here too: ``tasks`` builds a class's
+rows at once, and ``tests/test_task_replay.py`` checks it against these
+loops byte for byte.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +23,8 @@ from amlora import autodiff as ad
 from amlora.adapters import AdapterStack, LoraAdapter
 from amlora.autodiff import Tensor, _accum, _make
 from amlora.errors import DimensionError
+from amlora.tasks import (TaskSpec, _background_count, _token_row,
+                          signature_tokens)
 
 # ---------------------------------------------------------------------------
 # autodiff ops
@@ -106,3 +114,46 @@ def merged_weight(stack: AdapterStack, w0: Tensor) -> np.ndarray:
     for a in stack.task_adapters:
         w += materialized(a)
     return w
+
+
+# ---------------------------------------------------------------------------
+# task generators
+
+
+def token_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
+    """A token split drawn row by row, each row through ``_token_row``."""
+    p = spec.params
+    L = p["seq_len"]
+    bg = _background_count(p)
+    n = per_class * spec.num_classes
+    x = np.empty((n, L), dtype=np.int64)
+    y = np.empty(n, dtype=np.int64)
+    row = 0
+    for cls in range(spec.num_classes):
+        sig = signature_tokens(p, spec.task_id, cls)
+        for _ in range(per_class):
+            x[row] = _token_row(p, sig, bg, rng)
+            y[row] = cls
+            row += 1
+    return x, y
+
+
+def gaussian_rows(spec: TaskSpec, per_class: int, rng: np.random.Generator):
+    """A rotated-gaussian split with each row's class mean added row by row."""
+    p = spec.params
+    dim = p["dim"]
+    radius = p["radius"]
+    noise = p["noise_std"]
+    rotation = p["rotation"]
+    n = per_class * spec.num_classes
+    x = rng.normal(0.0, noise, size=(n, dim))
+    y = np.empty(n, dtype=np.int64)
+    row = 0
+    for cls in range(spec.num_classes):
+        angle = 2.0 * math.pi * cls / spec.num_classes + rotation
+        for _ in range(per_class):
+            x[row, 0] += radius * math.cos(angle)
+            x[row, 1] += radius * math.sin(angle)
+            y[row] = cls
+            row += 1
+    return x, y
