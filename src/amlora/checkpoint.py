@@ -2,9 +2,13 @@
 
 Layout: a magic line ``AMLORA-CKPT 1`` followed by length-prefixed records,
 each ``u32 name_len | name utf-8 | u32 rank | u32 dims[rank] | f64-LE data``.
-The records are rank-0 ``config.*`` scalars, ``config.sites_mask``,
-``base.<param>``, ``site.<site>.adapter<k>.A``/``.B`` (the k-th task adapter
-of the site's stack, by position, from 1) and ``site.<site>.head<j>``. No
+The config records come first: rank-0 ``config.*`` scalars and
+``config.sites_mask``. A flag (``config.backbone_is_mlp``,
+``config.variant_is_ar`` and each ``config.sites_mask`` entry) must read
+exactly 0.0 or 1.0. The tensor records follow, named and ordered for both
+save and load by one list, ``_tensors``: ``base.<param>``, then per site in
+sorted order ``site.<site>.adapter<k>.A``/``.B`` (the k-th task adapter of
+the site's stack, by position, from 1) and ``site.<site>.head<j>``. No
 forward rule is stored, since a loaded site runs what these attach; the
 rule-index record of older files is ignored. Before building anything, the
 loader matches each config int that sizes a tensor to the extent of the base
@@ -26,12 +30,28 @@ import numpy as np
 
 from .adapters import AdapterStack
 from .atomic import atomic_write
+from .autodiff import Tensor
 from .errors import CheckpointFormatError, ConfigError
 from .model import ADAPTER_SITES, CONFIG_INTS, Backbone, ModelConfig, build_model
 from .selector import AttentionalSelector
 
 MAGIC_PREFIX = b"AMLORA-CKPT "
 VERSION = 1
+
+
+def _tensors(model: Backbone) -> list[tuple[str, Tensor]]:
+    """Every tensor record of ``model`` by name, in file order."""
+    out = [(f"base.{name}", t) for name, t in model.base_parameters()]
+    for site_name in sorted(model.sites):
+        site, prefix = model.sites[site_name], f"site.{site_name}"
+        if site.stack is not None:
+            for k, a in enumerate(site.stack.task_adapters, start=1):
+                out += [(f"{prefix}.adapter{k}.A", a.A),
+                        (f"{prefix}.adapter{k}.B", a.B)]
+        if site.selector is not None:
+            out += [(f"{prefix}.head{j}", h)
+                    for j, h in enumerate(site.selector.heads)]
+    return out
 
 
 def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
@@ -57,19 +77,7 @@ def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
                     if s.selector is not None), None)
     scalar("config.variant_is_ar",
            any_sel is None or any_sel.variant == "AR")
-
-    for name, t in model.base_parameters():
-        recs.append((f"base.{name}", t.data))
-    for site_name in sorted(model.sites):
-        site = model.sites[site_name]
-        if site.stack is not None:
-            for k, a in enumerate(site.stack.task_adapters, start=1):
-                recs.append((f"site.{site_name}.adapter{k}.A", a.A.data))
-                recs.append((f"site.{site_name}.adapter{k}.B", a.B.data))
-        if site.selector is not None:
-            for j, h in enumerate(site.selector.heads):
-                recs.append((f"site.{site_name}.head{j}", h.data))
-    return recs
+    return recs + [(name, t.data) for name, t in _tensors(model)]
 
 
 def save_checkpoint(model: Backbone, path: str):
@@ -164,6 +172,14 @@ def _require_int(records: dict, name: str) -> int:
     return int(value)
 
 
+def _require_flags(records: dict, name: str, shape=()) -> np.ndarray:
+    """Record ``name`` as bools; an entry other than 0.0 or 1.0 is corrupt."""
+    arr = _require_shape(records, name, shape)
+    if not np.isin(arr, (0.0, 1.0)).all():
+        raise CheckpointFormatError(f"record {name!r} is {arr}, not 0 or 1")
+    return arr == 1.0
+
+
 def _check_sizes(records: dict, cfg: ModelConfig):
     """Match each config int that sizes a tensor to the base record it sizes.
 
@@ -203,51 +219,34 @@ def load_checkpoint(path: str) -> Backbone:
 def _model_from_records(records: dict) -> Backbone:
     kwargs = {key: _require_int(records, f"config.{key}")
               for key in CONFIG_INTS}
-    mask = _require(records, "config.sites_mask")
-    if mask.shape != (len(ADAPTER_SITES),):
-        raise CheckpointFormatError("corrupt config.sites_mask record")
+    mask = _require_flags(records, "config.sites_mask", (len(ADAPTER_SITES),))
     cfg = ModelConfig(
-        backbone="mlp" if _require_scalar(records, "config.backbone_is_mlp")
+        backbone="mlp" if _require_flags(records, "config.backbone_is_mlp")
         else "transformer",
         dropout_rate=_require_scalar(records, "config.dropout_rate"),
         adapter_sites=tuple(s for s, m in zip(ADAPTER_SITES, mask) if m),
         **kwargs)
     _check_sizes(records, cfg)
     model = build_model(cfg, seed=0)
-    for name, t in model.base_parameters():
-        t.data = _require_shape(records, f"base.{name}", t.data.shape)
-        t.requires_grad = False
-
-    variant = "AR" if _require_scalar(records, "config.variant_is_ar") else "NR"
+    variant = "AR" if _require_flags(records, "config.variant_is_ar") else "NR"
     for site_name in sorted(model.sites):
-        site = model.sites[site_name]
-        adapter_keys = sorted(
-            k for k in records if k.startswith(f"site.{site_name}.adapter")
-            and k.endswith(".A"))
-        n = len(adapter_keys)
+        site, prefix = model.sites[site_name], f"site.{site_name}"
+        n = sum(k.startswith(f"{prefix}.adapter") and k.endswith(".A")
+                for k in records)
+        heads = sum(k.startswith(f"{prefix}.head") for k in records)
         if n:
-            rank = _require_int(records, "config.adapter_rank")
-            alpha = _require_scalar(records, "config.adapter_alpha")
-            stack = AdapterStack(site.d_out, site.d_in, rank, alpha)
-            for k in range(1, n + 1):
-                a = stack.begin_task(seed=0)
-                prefix = f"site.{site_name}.adapter{k}"
-                a.A.data = _require_shape(records, f"{prefix}.A",
-                                          (rank, site.d_in))
-                a.B.data = _require_shape(records, f"{prefix}.B",
-                                          (site.d_out, rank))
-                a.freeze()
-            site.stack = stack
-        head_keys = [k for k in records
-                     if k.startswith(f"site.{site_name}.head")]
-        if head_keys:
-            if len(head_keys) != n + 1:
+            site.stack = AdapterStack(
+                site.d_out, site.d_in,
+                _require_int(records, "config.adapter_rank"),
+                _require_scalar(records, "config.adapter_alpha"))
+            for _ in range(n):
+                site.stack.begin_task(seed=0)
+        if heads:
+            if heads != n + 1:
                 raise CheckpointFormatError(
-                    f"site {site_name}: {n} adapters but {len(head_keys)} heads")
-            sel = AttentionalSelector(n + 1, site.d_out, variant)
-            for j in range(n + 1):
-                sel.heads[j].data = _require_shape(
-                    records, f"site.{site_name}.head{j}", (site.d_out, 1))
-                sel.heads[j].requires_grad = False
-            site.selector = sel
+                    f"site {site_name}: {n} adapters but {heads} heads")
+            site.selector = AttentionalSelector(n + 1, site.d_out, variant)
+    for name, t in _tensors(model):
+        t.data = _require_shape(records, name, t.data.shape)
+        t.requires_grad = False
     return model

@@ -291,7 +291,6 @@ def _cmd_inspect_gates(args) -> int:
     if len(seeds) != 1:
         raise ConfigError(f"--seeds takes one seed for inspect-gates "
                           f"(gates.csv has no seed column), got {args.seeds!r}")
-    os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         ckpt = os.path.join(tmp, "model.bin")
         _run_cell(cfg, "amlora", cfg["order"], seeds[0], ckpt)
@@ -314,6 +313,7 @@ def _cmd_inspect_gates(args) -> int:
         vals = " ".join(f"{v:.3f}" for v in mean)
         print(f"  {name:<18} eval_task={i}  [{vals}]")
         lines += [f"{name},{i},{j},{float(v)!r}" for j, v in enumerate(mean)]
+    os.makedirs(out_dir, exist_ok=True)
     atomic_write(os.path.join(out_dir, "gates.csv"), "\n".join(lines) + "\n")
     print(f"wrote {out_dir}/gates.csv")
     return 0

@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .harness import TrainConfig
 from .model import BACKBONES, ModelConfig, check_sites
 from .selector import VARIANTS
-from .tasks import GENERATORS, ORDERS, TaskStream, build_stream
+from .tasks import GENERATORS, ORDERS, TaskStream, build_stream, check_backbone
 
 
 def _number(kind, what, least=None):
@@ -212,7 +212,7 @@ def check_config(cfg: dict) -> dict:
         to_model_config(cfg).validate()
         to_train_config(cfg).validate()
         to_method_spec(cfg)
-        to_stream(cfg)
+        check_backbone(to_stream(cfg), cfg["backbone"])
         if isinstance(cfg["lambda"], list) and len(cfg["lambda"]) > cfg["tasks"]:
             raise ConfigError(f"lambda schedule has {len(cfg['lambda'])} "
                               f"entries, more than tasks={cfg['tasks']}")

@@ -28,7 +28,7 @@ from .autodiff import Optimizer, Tensor
 from .baselines import Driver, MethodSpec, make_driver
 from .errors import ConfigError, StateError
 from .model import Backbone, ModelConfig, build_model
-from .tasks import GENERATORS, TaskData, TaskStream, generate_task
+from .tasks import TaskData, TaskStream, check_backbone, generate_task
 
 
 @dataclass
@@ -229,11 +229,7 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
                train_cfg: TrainConfig, seed: int,
                checkpoint_path: str | None = None) -> MetricsReport:
     """Train one method over the stream; write only the optional checkpoint."""
-    for spec in stream.tasks:  # an unknown generator fails in generate_task
-        want = GENERATORS.get(spec.generator, model_cfg.backbone)
-        if model_cfg.backbone != want:
-            raise ConfigError(f"generator {spec.generator!r} needs backbone "
-                              f"{want!r}, got backbone {model_cfg.backbone!r}")
+    check_backbone(stream, model_cfg.backbone)
     model_ss, stage_root = np.random.SeedSequence(seed).spawn(2)
     aux = stage_root.spawn(len(stream) + 2)
     stage_seeds = [int(ss.generate_state(1)[0]) for ss in aux]

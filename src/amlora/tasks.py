@@ -71,6 +71,15 @@ class TaskStream:
         return len(self.tasks)
 
 
+def check_backbone(stream: TaskStream, backbone: str):
+    """Raise ``ConfigError`` unless every task's examples suit ``backbone``."""
+    for spec in stream.tasks:  # an unknown generator fails in generate_task
+        want = GENERATORS.get(spec.generator, backbone)
+        if backbone != want:
+            raise ConfigError(f"generator {spec.generator!r} needs backbone "
+                              f"{want!r}, got backbone {backbone!r}")
+
+
 def signature_tokens(params: dict, task_id: int, cls: int) -> np.ndarray:
     """The token ids owned by (task, class); disjoint across both."""
     vocab = params["vocab"]

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and corruption handling."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from amlora.baselines import MethodSpec, make_driver
-from amlora.checkpoint import (_read_records, load_checkpoint,
+from amlora.checkpoint import (_read_records, _tensors, load_checkpoint,
                                save_checkpoint)
 from amlora.errors import CheckpointFormatError
 from amlora.model import ModelConfig, build_model
@@ -379,3 +380,91 @@ def test_fuzzed_checkpoint_loads_or_raises_format_error(tmp_path):
         except CheckpointFormatError:
             pass
     print(f"silent loads of a {len(blob)}-byte file, of 500 each: {loads}")
+
+
+# 5e-324 is 0.0 with its lowest bit set. ADAPTER_SITES order: query, key,
+# value, output, ffn; CFG adapts query and value.
+@pytest.mark.parametrize("name,value", [
+    ("config.variant_is_ar", 5e-324),
+    ("config.variant_is_ar", float("nan")),
+    ("config.backbone_is_mlp", 5e-324),
+    ("config.sites_mask", [1.0, 0.0, 1.0, 0.0, 5e-324]),
+])
+def test_flag_record_other_than_0_or_1_rejected(tmp_path, name, value):
+    broken = _rewrite(tmp_path, name, lambda old: np.asarray(value))
+    with pytest.raises(CheckpointFormatError,
+                       match=rf"record '{name}' is .*, not 0 or 1"):
+        load_checkpoint(broken)
+
+
+MLP_CFG = ModelConfig(backbone="mlp", embed_dim=8, num_layers=2,
+                      num_classes=3, dropout_rate=0.0, adapter_sites=("ffn",))
+
+
+def staged_model(cfg, method, variant="AR", n_tasks=2):
+    """An untrained model after ``n_tasks`` stages of ``method``."""
+    model = build_model(cfg, seed=0)
+    driver = make_driver(MethodSpec(method, rank=2, alpha=4.0,
+                                    variant=variant))
+    driver.attach(model, seed=0)
+    for t in range(n_tasks):
+        driver.start_stage(model, t, seed=t)
+        driver.end_stage(model, t)
+    return model
+
+
+# sha256 of each model's format v1 file
+PINNED = {
+    "amlora AR": (lambda: staged_model(CFG, "amlora"),
+        "7a05145c9055c5b38b9878886cc39b886fc71b8f6cc03a5f34e5f59cdbd07c26"),
+    "amlora NR": (lambda: staged_model(CFG, "amlora", "NR"),
+        "dd6572bf7f1af95c72e481ad0e50afbb9cf9e1eefdcb9904862a4e260c57076b"),
+    "inclora": (lambda: staged_model(CFG, "inclora"),
+        "3059418680dbd4e4a796e82b788c5f9b956a5eb7d9ad77f4d24dc85a963d0044"),
+    "sinlora": (lambda: staged_model(CFG, "sinlora"),
+        "a895a8adf875ff86300eace1f71cdbe519bf215f3d9ef692c2f9722ef4c6ed95"),
+    "plain transformer": (lambda: build_model(CFG, seed=0),
+        "af8a283f3eec682a6589b018b7158fafa4721122c51ca1a05b189dc47f5e731b"),
+    "mlp amlora": (lambda: staged_model(MLP_CFG, "amlora"),
+        "94094dbc157f88cfc579a8c37863f9a280b7707f2d5357b685cef1e79939eca0"),
+}
+
+
+@pytest.mark.parametrize("key", PINNED)
+def test_format_v1_bytes_are_pinned(tmp_path, key):
+    make, digest = PINNED[key]
+    model = make()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as f:
+        got = hashlib.sha256(f.read()).hexdigest()
+    assert got == digest, (f"{key}: format v1 bytes changed under numpy "
+                           f"{np.__version__}; got {got}")
+    names = list(_read_records(path))
+    assert names == ([n for n in names if n.startswith("config.")]
+                     + [n for n, _ in _tensors(model)])
+
+
+@pytest.mark.parametrize("cfg", [CFG, MLP_CFG], ids=["transformer", "mlp"])
+@pytest.mark.parametrize("n_tasks", [1, 3])
+@pytest.mark.parametrize("method,variant", [
+    ("seqft", "AR"), ("sinlora", "AR"), ("inclora", "AR"), ("amlora", "AR"),
+    ("amlora", "NR")])
+def test_round_trip_keeps_every_tensor_record(tmp_path, cfg, n_tasks, method,
+                                              variant):
+    model = staged_model(cfg, method, variant, n_tasks)
+    rng = np.random.default_rng(n_tasks)
+    for _, t in _tensors(model):  # no record left at its initial bytes
+        t.data = rng.normal(size=t.data.shape)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+
+    def view(m):
+        return [(n, t.data.shape, t.data.tobytes()) for n, t in _tensors(m)]
+
+    assert view(loaded) == view(model)
+    assert not any(t.requires_grad for _, t in _tensors(loaded))
+    assert loaded.config == model.config
+    assert ([s.selector.variant for s in loaded.sites.values() if s.selector]
+            == [s.selector.variant for s in model.sites.values() if s.selector])

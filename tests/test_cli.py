@@ -139,7 +139,8 @@ def test_negative_seed_exit_1_before_any_cell(tmp_path, capsys, monkeypatch,
     "epochs=0", "lr=-1", "pretrain_lr=-1", "pretrain_epochs=-1", "p_sig=2",
     "p_sig=-1", "tasks=0", "tasks=-1", "tasks=5", "train_per_task=0",
     "train_per_task=1001", "eval_per_task=0", "sig_tokens=0", "backbone=mlp",
-    "generator=rotated_gaussian backbone=mlp sites=ffn heads=1 d=1"])
+    "generator=rotated_gaussian backbone=mlp sites=ffn heads=1 d=1",
+    "generator=rotated_gaussian", "sites=ffn backbone=mlp"])
 def test_bad_config_value_exit_1_before_any_cell(tmp_path, capsys,
                                                  monkeypatch, kv):
     # the last K=V of each case is the bad value
@@ -163,6 +164,17 @@ def test_inspect_gates_bad_config_value_exit_1_before_training(
     assert rc == 1
     assert "error: p_sig must be in [0, 1]" in capsys.readouterr().err
     assert trained == [] and not out.exists()
+
+
+def test_inspect_gates_failing_stream_exit_1_makes_no_out_dir(tmp_path,
+                                                              capsys):
+    # vocab=12 passes the config check and fails in task generation
+    out = tmp_path / "o"
+    rc = parse_and_dispatch(["inspect-gates", "--out-dir", str(out)]
+                            + _ov(["vocab=12"]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):

@@ -141,20 +141,6 @@ def test_all_failing_grid_writes_nothing_and_says_so(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
-@pytest.mark.parametrize("extra", [["generator=rotated_gaussian"],
-                                   ["backbone=mlp", "sites=ffn"]])
-def test_generator_backbone_mismatch_fails_each_cell(tmp_path, capsys, extra):
-    rc = parse_and_dispatch(["run", "--out-dir", str(tmp_path), "--methods",
-                             "seqft,amlora"] + _ov(extra))
-    assert rc == 2
-    failed = [line for line in capsys.readouterr().out.splitlines()
-              if "FAILED" in line]
-    assert len(failed) == 2
-    for line in failed:
-        assert "ConfigError" in line
-        assert "generator" in line and "backbone" in line
-
-
 def test_rotated_gaussian_runs_on_the_mlp(tmp_path):
     out = str(tmp_path / "o")
     rc = parse_and_dispatch(["run", "--out-dir", out, "--methods",
