@@ -296,15 +296,14 @@ def _cmd_inspect_gates(args) -> int:
         _run_cell(cfg, "amlora", cfg["order"], seeds[0], ckpt)
         model = load_checkpoint(ckpt)
     stream = to_stream(cfg)
-    for site in model.sites.values():
-        site.gate_capture = {}
     rows = []
     for i, spec in enumerate(stream.tasks):
         data = generate_task(spec)
+        gates = {}
         with ad.no_grad():
-            model.forward(data.eval_x[:200], mode="eval")
+            model.features(data.eval_x[:200], gates=gates)
         for name in sorted(model.sites):
-            g = model.sites[name].gate_capture["gates"]
+            g = gates[name]
             mean = g.reshape(-1, g.shape[-1]).mean(axis=0)
             rows.append((name, i, mean))
     print("mean gate weight per adapter (column 0 is the zero adapter):")

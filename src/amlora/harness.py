@@ -59,7 +59,6 @@ class MetricsReport:
     order_id: str
     acc: list[list[float]] = field(default_factory=list)
     trainable_per_task: list[int] = field(default_factory=list)
-    wall_clock: list[float] = field(default_factory=list)
     base_params: int = 0
     adapter_params_per_site: int = 0
     selector_params_per_site: int = 0
@@ -155,11 +154,7 @@ def _usable_cpus() -> int:
 
 
 def _eval_logits(model: Backbone, chunks: list) -> list:
-    cpus = _usable_cpus()
-    # a gate capture would keep only one part's gates
-    if (model.config.backbone != "transformer"
-            or any(s.gate_capture is not None for s in model.sites.values())):
-        cpus = 1
+    cpus = _usable_cpus() if model.config.backbone == "transformer" else 1
     parts = [np.array_split(c, max(1, min(cpus, c.shape[0] // _MIN_PART_ROWS)))
              for c in chunks]
     k = max(len(p) for p in parts)
@@ -261,10 +256,8 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
             tx, ty = union_x, union_y
         else:
             tx, ty = tdata.train_x, tdata.train_y
-        t0 = time.perf_counter()
         train_task(model, opt, tx, ty, train_cfg, rng,
                    extra_loss_fn=lambda: driver.extra_loss(model))
-        wall = time.perf_counter() - t0
         driver.end_stage(model, stage)
 
         if driver.fresh_model_per_stage:
@@ -274,7 +267,6 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
             row = [evaluate(model, data[i]) for i in range(stage + 1)]
         report.acc.append(row)
         report.trainable_per_task.append(sum(p.size for p in params))
-        report.wall_clock.append(wall)
     _overhead_counts(model, report)
     if checkpoint_path is not None:
         from .checkpoint import save_checkpoint

@@ -72,6 +72,7 @@ class AdaptedLinear:
     stack runs the plain base (one ``linear`` node); a stack adds its task
     adapters to the base through ``apply_gated`` (one ``adapter_bank``
     node), gate-weighted when a selector is attached and unweighted when not.
+    A gated forward given a ``gates`` dict stores its gates under ``name``.
     """
 
     def __init__(self, name: str, w0: Tensor, bias: Tensor):
@@ -80,7 +81,6 @@ class AdaptedLinear:
         self.bias = bias
         self.stack: AdapterStack | None = None
         self.selector: AttentionalSelector | None = None
-        self.gate_capture: dict | None = None
 
     @property
     def d_out(self) -> int:
@@ -90,12 +90,14 @@ class AdaptedLinear:
     def d_in(self) -> int:
         return self.w0.data.shape[1]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, gates: dict | None = None) -> Tensor:
         base = ad.linear(x, self.w0, self.bias)
         if self.stack is None:
             return base
-        return apply_gated(base, self.stack, self.selector, x,
-                           capture=self.gate_capture)
+        out, g = apply_gated(base, self.stack, self.selector, x)
+        if gates is not None and g is not None:
+            gates[self.name] = g
+        return out
 
 
 @dataclass
@@ -126,15 +128,18 @@ class Backbone:
         return self.classifier.forward(self.features(batch, mode, rng))
 
     def features(self, batch, mode: str = "eval",
-                 rng: np.random.Generator | None = None) -> Tensor:
+                 rng: np.random.Generator | None = None,
+                 gates: dict | None = None) -> Tensor:
         """What the classifier reads: the transformer's mean-pooled ``(b, d)``
         or the mlp's last hidden layer. Every transformer op here works on
         each example alone, so the features of a slice of the batch are the
         bytes of the same rows of the whole batch's features. Layer 0's
         query, key and value see only the token at each position (there is
-        no positional embedding), so when no tape records, no dropout runs
-        and none of them has a gate capture, they run once per distinct
-        (position, token) and are gathered back, with the same bytes."""
+        no positional embedding), so when no tape records and no dropout
+        runs they run once per distinct (position, token) and are gathered
+        back, with the same bytes. Given a ``gates`` dict, each gated site
+        stores its ``(..., n + 1)`` gates there under its name, one row per
+        example on either path."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
@@ -142,10 +147,10 @@ class Backbone:
         if train and drop > 0.0 and rng is None:
             raise ConfigError("train-mode forward with dropout needs an rng")
         if self.config.backbone == "transformer":
-            return self._token_features(batch, drop, rng)
-        return self._dense_features(batch, drop, rng)
+            return self._token_features(batch, drop, rng, gates)
+        return self._dense_features(batch, drop, rng, gates)
 
-    def _token_features(self, batch, drop, rng) -> Tensor:
+    def _token_features(self, batch, drop, rng, gates) -> Tensor:
         ids = np.asarray(batch)
         if ids.ndim != 2:
             raise DimensionError(f"token batch must be 2-d, got shape {ids.shape}")
@@ -155,23 +160,23 @@ class Backbone:
         x = ad.dropout(ad.embedding(self.embedding, ids), drop, rng)
         for i, layer in enumerate(self.layers):
             lins = [layer[key] for key in ("query", "key", "value")]
-            table = i == 0 and drop == 0.0 and not ad._recording() and all(
-                lin.gate_capture is None for lin in lins)
+            table = i == 0 and drop == 0.0 and not ad._recording()
             # nested calls, not names: each temporary is freed once the op
             # that reads it returns, not when the next layer rebinds a name
             x = ad.add(x, ad.dropout(layer["output"].forward(ad.attention(
-                *(self._per_distinct_token(ids, lins) if table
-                  else [lin.forward(x) for lin in lins]),
-                self.config.num_heads)), drop, rng))
+                *(self._per_distinct_token(ids, lins, gates) if table
+                  else [lin.forward(x, gates) for lin in lins]),
+                self.config.num_heads), gates), drop, rng))
             x = ad.add(x, ad.dropout(layer["ffn2"].forward(ad.relu(
-                layer["ffn"].forward(x))), drop, rng))
+                layer["ffn"].forward(x, gates))), drop, rng))
         return ad.mean_axis(x, axis=1)
 
-    def _per_distinct_token(self, ids, lins) -> list[Tensor]:
+    def _per_distinct_token(self, ids, lins, gates) -> list[Tensor]:
         """Each of ``lins`` on the embeddings of ``ids``, run once per
         distinct (position, token). Column p of a ``(U, L)`` table holds the
         tokens present at p, ranked by a ``(vocab, L)`` mask's column cumsum,
-        and token 0 in unused cells; a token keeps row p of its L-row GEMM."""
+        and token 0 in unused cells; a token keeps row p of its L-row GEMM.
+        Their gates in ``gates`` are gathered back like their outputs."""
         cols = np.arange(ids.shape[1])
         mask = np.zeros((self.config.vocab_size, cols.size), bool)
         mask[ids, cols] = True
@@ -179,16 +184,22 @@ class Backbone:
         table = np.zeros((rows.max() + 1, cols.size), ids.dtype)
         table[rows, cols] = ids
         emb = ad.embedding(self.embedding, table)
-        return [Tensor(lin.forward(emb).data[rows, cols]) for lin in lins]
+        outs = [Tensor(lin.forward(emb, gates).data[rows, cols]) for lin in lins]
+        if gates:
+            for lin in lins:
+                if lin.name in gates:
+                    gates[lin.name] = gates[lin.name][rows, cols]
+        return outs
 
-    def _dense_features(self, batch, drop, rng) -> Tensor:
+    def _dense_features(self, batch, drop, rng, gates) -> Tensor:
         x = batch if isinstance(batch, Tensor) else Tensor(np.asarray(batch))
         if x.data.ndim != 2 or x.data.shape[1] != self.config.embed_dim:
             raise DimensionError(
                 f"feature batch must be b x {self.config.embed_dim}, "
                 f"got {x.data.shape}")
         for layer in self.layers:
-            x = ad.add(x, ad.dropout(ad.relu(layer["ffn"].forward(x)), drop, rng))
+            x = ad.add(x, ad.dropout(ad.relu(layer["ffn"].forward(x, gates)),
+                                     drop, rng))
         return x
 
 

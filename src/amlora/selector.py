@@ -8,6 +8,7 @@ exactly uniform. An L1 penalty on the heads makes the gate vector sparse.
 ``apply_gated`` and ``sparsity_loss`` are the training path, one fused tape
 node per site each; ``gate`` with ``stack_outputs`` and ``l1_norm`` from
 ``tests/reference.py`` is the per-op reference path they are tested against.
+``apply_gated`` hands back each call's gates; no selector keeps them.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor
 
 
 def apply_gated(base_out: Tensor, stack: AdapterStack,
-                selector: AttentionalSelector | None, x: Tensor,
-                capture: dict | None = None) -> Tensor:
+                selector: AttentionalSelector | None,
+                x: Tensor) -> tuple[Tensor, np.ndarray | None]:
     """Add the stack's task-adapter outputs to a computed base projection.
 
     With a selector each output is weighted by its gate, the softmax across
@@ -77,9 +78,8 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
     sinlora and inclora. Records one ``adapter_bank`` tape node, whose values
     and gradients equal bit for bit those of the reference chain in
     ``tests/reference.py``: ``stack_outputs``, ``gate``, then an
-    ``index_last``/``mul``/``add`` mix. When ``capture`` is a dict and a
-    selector is given, the gate values are stored under ``"gates"`` for
-    inspection; gradients are unaffected.
+    ``index_last``/``mul``/``add`` mix. Returns ``(out, gates)``: the gates
+    are the ``(..., n + 1)`` softmax weights, ``None`` without a selector.
     """
     adapters = stack.task_adapters
     for a in adapters:
@@ -89,19 +89,16 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
                 f"{a.A.data.shape[1]}")
     if selector is not None:
         _require_fresh(selector, len(stack))
-    out, gates = ad.adapter_bank(
+    return ad.adapter_bank(
         base_out, x, [(a.A, a.B, a.scale) for a in adapters],
         None if selector is None else selector.heads)
-    if capture is not None and gates is not None:
-        capture["gates"] = gates
-    return out
 
 
 def mixed_forward(w0: Tensor, stack: AdapterStack,
                   selector: AttentionalSelector, x: Tensor) -> Tensor:
     """Gated forward h = x W0^T + sum_i g_i * (dw_i x), gates per example."""
     base = ad.matmul(x, ad.transpose(w0, (1, 0)))
-    return apply_gated(base, stack, selector, x)
+    return apply_gated(base, stack, selector, x)[0]
 
 
 def sparsity_loss(selector: AttentionalSelector, lam: float) -> Tensor:

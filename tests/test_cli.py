@@ -1,8 +1,11 @@
 """Exit codes, grid execution, verifier verbs, and report aggregation."""
 
 import csv
+import hashlib
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +279,35 @@ def test_inspect_gates_rows_sum_to_one(tmp_path, capsys):
     assert all(abs(s - 1.0) < 1e-9 for s in sums.values())
     # the hand-off checkpoint lives in a removed temporary directory
     assert os.listdir(out) == ["gates.csv"]
+
+
+# gates.csv of a pretrained all-sites model; the hash pins every gate byte
+# of the eval forward that inspect-gates reads, layer-0 table path included
+GATES_PIN = ["d=16", "heads=2", "layers=1", "seq_len=6", "vocab=64",
+             "tasks=2", "classes=2", "train_per_task=24", "eval_per_task=8",
+             "r=2", "alpha=4", "pretrain_epochs=1", "sig_tokens=2",
+             "sites=query,key,value,output,ffn"]
+GATES_SHA256 = \
+    "bccb144e1b92f4bb537fba46b83c087465b366ca964dab9c19741df94548f94b"
+
+
+def test_inspect_gates_bytes_are_pinned(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = str(tmp_path / "o")
+    argv = [sys.executable, "-m", "amlora.cli", "inspect-gates", "--out-dir",
+            out] + [a for kv in GATES_PIN for a in ("--override", kv)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(out, "gates.csv"), "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == GATES_SHA256, (
+        f"gates.csv sha256 {digest} under numpy {np.__version__}; the pin "
+        f"was taken under numpy 2.4.6 with BLAS at 1 thread")
 
 
 def test_report_without_metrics_exit_1(tmp_path, capsys):

@@ -86,7 +86,7 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
     assert all(frozen(a) for a in stack.task_adapters[:-1])
 
     def loss(_):
-        out = apply_gated(base, stack, sel, x)
+        out, _ = apply_gated(base, stack, sel, x)
         total = sum_all(ad.mul(out, weights))
         if sel is None:
             return total
@@ -133,7 +133,7 @@ def _run(fused: bool, n, gated, variant, shape, seed):
     weights = Tensor(rng.normal(size=shape + (6,)))
     if fused:
         base = ad.linear(x, w, b)
-        out = apply_gated(base, stack, sel, x)
+        out, _ = apply_gated(base, stack, sel, x)
     else:
         base = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
         out = _reference_gated(base, stack, sel, x)

@@ -271,3 +271,22 @@ def test_the_package_defines_no_reference_only_name():
                               if d in REFERENCE_ONLY]
     assert offenders == []
     assert REFERENCE_ONLY.isdisjoint(amlora.__all__)
+
+
+def test_gates_are_handed_back_per_call_and_no_site_holds_them():
+    # a switch on a shared object turned off the eval threads and the
+    # layer-0 table, and two eval parts writing one slot would race
+    src = os.path.dirname(amlora.__file__)
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            offenders += [(name, "gate_capture")] * ("gate_capture" in text)
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    args = node.args
+                    offenders += [(name, a.arg) for a in
+                                  args.posonlyargs + args.args + args.kwonlyargs
+                                  if a.arg == "capture"]
+    assert offenders == []

@@ -153,16 +153,6 @@ def test_mlp_backbone_gives_the_serial_result(monkeypatch):
         assert evaluate(model, data, batch) == acc
 
 
-def test_a_gate_capture_keeps_the_whole_last_chunk(data, monkeypatch):
-    model = _model("amlora")
-    for site in model.sites.values():
-        site.gate_capture = {}
-    _split(monkeypatch, 3)
-    evaluate(model, data, 150)  # the last chunk holds rows 300-399
-    for site in model.sites.values():
-        assert site.gate_capture["gates"].shape == (100, 16, 5)
-
-
 def test_chunks_too_small_to_split_run_serially(data, monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")

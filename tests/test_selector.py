@@ -124,14 +124,20 @@ def test_mixed_forward_matches_numpy_oracle():
     assert np.max(np.abs(got - expect)) <= 1e-10
 
 
-def test_capture_exposes_gates():
+def test_apply_gated_returns_its_gates():
     stack = make_stack(2)
+    x = Tensor(np.random.default_rng(7).normal(size=(4, 5, 4)))
+    base = Tensor(np.zeros((4, 5, stack.d_out)))
     sel = AttentionalSelector(len(stack), stack.d_out)
-    x = Tensor(np.random.default_rng(7).normal(size=(4, 4)))
-    cap = {}
-    apply_gated(Tensor(np.zeros((4, stack.d_out))), stack, sel, x, capture=cap)
-    assert cap["gates"].shape == (4, 3)
-    assert np.allclose(cap["gates"].sum(axis=-1), 1.0)
+    for h in sel.heads:
+        h.data = np.random.default_rng(8).normal(0.0, 0.5, h.data.shape)
+    out, gates = apply_gated(base, stack, sel, x)
+    assert out.data.shape == (4, 5, stack.d_out)
+    assert gates.shape == (4, 5, 3)
+    assert np.allclose(gates.sum(axis=-1), 1.0)
+    assert np.array_equal(gates, gate(sel, stack_outputs(stack, x)).data)
+    out, gates = apply_gated(base, stack, None, x)
+    assert gates is None and out.data.shape == (4, 5, stack.d_out)
 
 
 def test_sparsity_loss_exact_value():

@@ -3,9 +3,9 @@
 bytes of the recording forward, which projects every position of every row.
 
 The reference runs with the tape recording (outside ``no_grad``), the one
-path that never takes the table. Comparisons are on int64 views. The last
-test checks that an eval forward frees each layer's temporaries before the
-next layer starts.
+path that never takes the table. Comparisons are on int64 views; the gates
+each site hands back are compared the same way. The last test checks that an
+eval forward frees each layer's temporaries before the next layer starts.
 """
 
 import tracemalloc
@@ -30,16 +30,17 @@ CONFIGS = {
 BATCHES = (1, 3, 7, 32, 100, 200)
 STACKS = [("amlora", 1), ("amlora", 2), ("amlora", 4), ("inclora", 1),
           ("inclora", 2), ("inclora", 4), (None, 0)]
+ALL_SITES = ["sites=query,key,value,output,ffn"]
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
-def _setup(config, method, n):
+def _setup(config, method, n, extra=()):
     """A model with ``n`` random adapters per site (and random gate heads),
     and the first task's 400 eval rows."""
-    cfg = apply_overrides(default_config(), CONFIGS[config])
+    cfg = apply_overrides(default_config(), CONFIGS[config] + list(extra))
     model = build_model(to_model_config(cfg), 0)
     if method is not None:
         driver = make_driver(MethodSpec(method, rank=4))
@@ -60,12 +61,13 @@ def _query_rows(model):
     """Record the row count of every batch that layer 0's query projects."""
     lin, rows = model.layers[0]["query"], []
     forward = lin.forward
-    lin.forward = lambda x: rows.append(x.data.shape[0]) or forward(x)
+    lin.forward = lambda x, gates=None: rows.append(x.data.shape[0]) \
+        or forward(x, gates)
     return rows
 
 
-def _recorded_features(model, ids):
-    out = model.features(ids).data
+def _recorded_features(model, ids, gates=None):
+    out = model.features(ids, gates=gates).data
     ad.reset_tape()
     return out
 
@@ -97,17 +99,34 @@ def test_uniform_ids_fill_the_table(config):
         assert np.array_equal(_bits(got), _bits(want)), dtype
 
 
-def test_a_layer0_gate_capture_takes_the_per_position_path():
-    model, x = _setup("default", "amlora", 2)
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_table_gates_equal_the_recording_forward(config, n):
+    model, x = _setup(config, "amlora", n, ALL_SITES)
     rows = _query_rows(model)
-    ids = x[:100]
-    want = _recorded_features(model, ids)
-    model.layers[0]["query"].gate_capture = capture = {}
+    for b in BATCHES:
+        ids = x[:b]
+        want, got = {}, {}
+        _recorded_features(model, ids, want)
+        with ad.no_grad():
+            model.features(ids, gates=got)
+        distinct = max(len(np.unique(ids[:, p])) for p in range(ids.shape[1]))
+        assert rows[-2:] == [b, distinct], b  # the table was taken
+        assert sorted(got) == sorted(want) == sorted(model.sites)
+        for name in model.sites:
+            assert got[name].shape == ids.shape + (n + 1,), (b, name)
+            assert np.array_equal(_bits(got[name]), _bits(want[name])), \
+                (b, name)
+
+
+@pytest.mark.parametrize("method,n", [s for s in STACKS if s[0] != "amlora"])
+def test_an_ungated_model_hands_back_no_gates(method, n):
+    model, x = _setup("default", method, n, ALL_SITES)
+    recorded, table = {}, {}
+    _recorded_features(model, x[:7], recorded)
     with ad.no_grad():
-        got = model.features(ids).data
-    assert rows == [100, 100]
-    assert capture["gates"].shape == (100, 16, 3)
-    assert np.array_equal(_bits(got), _bits(want))
+        model.features(x[:7], gates=table)
+    assert recorded == table == {}
 
 
 @pytest.mark.parametrize("bad", [-1, 128])
@@ -130,8 +149,8 @@ def test_a_layer_holds_no_temporary_of_the_layer_before():
     model, x = _setup("default", "amlora", 4)
     lin, held = model.layers[1]["query"], []
     forward = lin.forward
-    lin.forward = lambda t: held.append(tracemalloc.get_traced_memory()[0]) \
-        or forward(t)
+    lin.forward = lambda t, gates=None: held.append(
+        tracemalloc.get_traced_memory()[0]) or forward(t, gates)
     ids = x[:200]
     tracemalloc.start()
     try:
