@@ -21,8 +21,7 @@ from .harness import (MetricsReport, TrainConfig, emit_report, evaluate,
 from .model import ModelConfig, build_model
 from .ortho import (counterexample_1d, counterexample_2d, counterexample_nd,
                     random_orthogonality_study)
-from .selector import (AttentionalSelector, gate, mixed_forward, sparsity_loss,
-                       trainable_set)
+from .selector import AttentionalSelector, gate, mixed_forward, trainable_set
 from .tasks import TaskSpec, TaskStream, build_stream, generate_task
 
 __version__ = "0.1.0"
@@ -38,5 +37,5 @@ __all__ = [
     "finite_diff_check", "gate", "generate_task", "load_checkpoint",
     "load_config", "make_driver", "mixed_forward", "new_adapter",
     "no_grad", "parse_config", "random_orthogonality_study", "run_stream",
-    "save_checkpoint", "sparsity_loss", "train_task", "trainable_set",
+    "save_checkpoint", "train_task", "trainable_set",
 ]

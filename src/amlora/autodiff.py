@@ -265,9 +265,7 @@ def matmul(a, b) -> Tensor:
 
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of ``a @ W`` with respect to a 2-d ``W``, given ``g``."""
-    if a.ndim > 2:
-        return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return np.swapaxes(a, -1, -2) @ g
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 # ---------------------------------------------------------------------------

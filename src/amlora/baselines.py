@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import DEFAULT_ALPHA, DEFAULT_RANK, AdapterStack
 from .errors import ConfigError
-from .selector import AttentionalSelector, sparsity_loss, trainable_set
+from .selector import AttentionalSelector, trainable_set
 
 METHODS = ("seqft", "sinlora", "inclora", "amlora", "pertaskft", "mtl")
 
@@ -161,13 +161,12 @@ class AmLoraDriver(IncLoraDriver):
         return params
 
     def extra_loss(self, model):
+        """lam times the L1 norms of every site's heads, the zero route's
+        included, as one ``l1`` tape node; ``None`` when the stage's lam is 0."""
         if self.lam == 0.0:
             return None
-        total = None
-        for site in model.sites.values():
-            term = sparsity_loss(site.selector, self.lam)
-            total = term if total is None else ad.add(total, term)
-        return total
+        return ad.l1_sum([h for site in model.sites.values()
+                          for h in site.selector.heads], self.lam)
 
 
 _DRIVERS = {

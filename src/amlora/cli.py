@@ -7,7 +7,8 @@ Verbs:
 * ``grad-check``    -- finite-difference check of the full gated loss on a
                        fixed small end-to-end model, seeded by ``--seed``.
 * ``inspect-gates`` -- train once, then dump mean gate distributions per
-                       site and eval task.
+                       site and eval task, over each task's first 200 eval
+                       rows.
 * ``report``        -- aggregate an out-dir's metrics.csv into a text table.
 
 Exit codes: 0 success, 1 configuration/usage error (message names the
@@ -84,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                  "gated model", out_dir=False)
     gradp.add_argument("--seed", default="0", metavar="N",
                        help="seed of the toy model and its data (default 0)")
-    verb("inspect-gates", "dump mean gate distributions after training",
-         config=True, seeds=True)
+    verb("inspect-gates", "dump mean gate distributions after training, "
+         "over the first 200 eval rows of each task", config=True, seeds=True)
     verb("report", "aggregate metrics.csv in the out dir")
     return p
 
@@ -138,18 +139,21 @@ def _try_cell(cell):
 def _overhead_text(reports) -> str:
     lines = []
     for rep in reports:
-        if rep.adapter_params_per_site == 0 and rep.selector_params_per_site == 0:
+        counts = rep.site_params
+        if not any(a or sel for a, sel in counts.values()):
             lines.append(f"{rep.method}: base parameters {rep.base_params}, "
                          "no adapters attached")
             continue
-        sel = rep.selector_params_per_site
-        lines.append(
-            f"{rep.method}: base parameters {rep.base_params}; per adapted "
-            f"site: {rep.adapter_params_per_site} adapter + {sel} selector "
-            f"params; selector share per site "
-            f"{100.0 * sel / rep.base_params:.4f}% of base, total across "
-            f"{rep.num_sites} sites "
-            f"{100.0 * sel * rep.num_sites / rep.base_params:.4f}%")
+        shares = {name: f"{a} adapter + {sel} selector params; selector share "
+                        f"per site {100.0 * sel / rep.base_params:.4f}% of base"
+                  for name, (a, sel) in counts.items()}
+        # one figure when every site has one shape, else one per site
+        per = (next(iter(shares.values())) if len(set(shares.values())) == 1
+               else " | ".join(f"{name}: {s}" for name, s in shares.items()))
+        total = 100.0 * sum(sel for _, sel in counts.values()) / rep.base_params
+        lines.append(f"{rep.method}: base parameters {rep.base_params}; per "
+                     f"adapted site: {per}, total across {len(counts)} sites "
+                     f"{total:.4f}%")
     return "\n".join(lines) + "\n"
 
 

@@ -60,9 +60,20 @@ class MetricsReport:
     acc: list[list[float]] = field(default_factory=list)
     trainable_per_task: list[int] = field(default_factory=list)
     base_params: int = 0
-    adapter_params_per_site: int = 0
-    selector_params_per_site: int = 0
-    num_sites: int = 0
+    # site name -> (adapter, selector) parameter counts, in site order
+    site_params: dict = field(default_factory=dict)
+
+    @property
+    def num_sites(self) -> int:
+        return len(self.site_params)
+
+    @property
+    def adapter_params_per_site(self) -> int:  # the first site's
+        return next(iter(self.site_params.values()), (0, 0))[0]
+
+    @property
+    def selector_params_per_site(self) -> int:  # the first site's
+        return next(iter(self.site_params.values()), (0, 0))[1]
 
     def num_tasks(self) -> int:
         return len(self.acc)
@@ -190,13 +201,10 @@ def _eval_logits(model: Backbone, chunks: list) -> list:
 
 def _overhead_counts(model: Backbone, report: MetricsReport):
     report.base_params = sum(p.size for _, p in model.base_parameters())
-    report.num_sites = len(model.sites)
-    for site in model.sites.values():
-        if site.stack is not None:
-            report.adapter_params_per_site = site.stack.param_count()
-        if site.selector is not None:
-            report.selector_params_per_site = site.selector.param_count()
-        break
+    report.site_params = {
+        name: (0 if site.stack is None else site.stack.param_count(),
+               0 if site.selector is None else site.selector.param_count())
+        for name, site in model.sites.items()}
 
 
 def pretrain_base(model_cfg: ModelConfig, model_seed: int, stream: TaskStream,

@@ -4,11 +4,12 @@ One score head (a d_out vector) per route: head 0 scores the constant-zero
 route (the base model alone), head i task adapter i. Per example and position
 each route's output is scored by its head, the scores are softmaxed, and the
 gated sum is added to the base projection. Heads start at zero, so gates start
-exactly uniform. An L1 penalty on the heads makes the gate vector sparse.
-``apply_gated`` and ``sparsity_loss`` are the training path, one fused tape
-node per site each; ``gate`` with ``stack_outputs`` and ``l1_norm`` from
-``tests/reference.py`` is the per-op reference path they are tested against.
-``apply_gated`` hands back each call's gates; no selector keeps them.
+exactly uniform. An L1 penalty on the heads makes the gate vector sparse;
+``AmLoraDriver.extra_loss`` owns it, one ``l1_sum`` over every site's heads.
+``apply_gated`` is the training path, one fused tape node per site; ``gate``
+with ``stack_outputs`` from ``tests/reference.py`` is the per-op reference
+path it is tested against. ``apply_gated`` hands back each call's gates; no
+selector keeps them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ VARIANTS = ("NR", "AR")
 
 class AttentionalSelector:
     """Ordered score heads [w_0, ..., w_n], one per route; ``variant``
-    picks the heads that train. The L1 weight is passed to ``sparsity_loss``."""
+    picks the heads that train. ``AmLoraDriver.extra_loss`` penalizes them."""
 
     def __init__(self, stack_len: int, d_out: int, variant: str = "AR"):
         if stack_len < 1:
@@ -99,17 +100,6 @@ def mixed_forward(w0: Tensor, stack: AdapterStack,
     """Gated forward h = x W0^T + sum_i g_i * (dw_i x), gates per example."""
     base = ad.matmul(x, ad.transpose(w0, (1, 0)))
     return apply_gated(base, stack, selector, x)[0]
-
-
-def sparsity_loss(selector: AttentionalSelector, lam: float) -> Tensor:
-    """lam * sum of L1 norms of all heads (the zero route's head included).
-
-    ``lam`` is the stage's weight from ``MethodSpec``. One ``l1`` tape node
-    per selector; none when ``lam`` is 0.
-    """
-    if lam == 0.0:
-        return Tensor(np.asarray(0.0))
-    return ad.l1_sum(selector.heads, lam)
 
 
 def trainable_set(selector: AttentionalSelector, stack: AdapterStack) -> list[Tensor]:

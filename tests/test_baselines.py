@@ -11,7 +11,6 @@ from amlora.baselines import (METHODS, AmLoraDriver, IncLoraDriver,
                               make_driver)
 from amlora.errors import ConfigError
 from amlora.model import ModelConfig, build_model
-from amlora.selector import sparsity_loss
 from reference import frozen
 
 CFG = ModelConfig(vocab_size=32, embed_dim=8, num_layers=1, num_heads=2,
@@ -82,13 +81,18 @@ def test_amlora_extra_loss_is_the_stage_lambda_times_every_site_l1(lam):
             h.data = rng.normal(size=h.data.shape)
     extra = driver.extra_loss(model)
     if lam == 0.0:
-        assert extra is None
+        assert extra is None and ad._state().tape == []
         return
-    want = None
-    for site in model.sites.values():
-        term = sparsity_loss(site.selector, lam)
-        want = term if want is None else ad.add(want, term)
-    assert extra.data.tobytes() == want.data.tobytes()
+    # one l1 node over every site's heads, the zero route's included
+    assert [n.tag for n in ad._state().tape] == ["l1"]
+    heads = [h for site in model.sites.values() for h in site.selector.heads]
+    total = np.abs(heads[0].data).sum()
+    for h in heads[1:]:
+        total = total + np.abs(h.data).sum()
+    assert extra.data.tobytes() == np.asarray(total * lam).tobytes()
+    ad.backward(extra)
+    for h in heads:
+        assert np.array_equal(h.grad, np.sign(h.data) * lam)
 
 
 def test_make_driver_dispatch():

@@ -44,6 +44,28 @@ def test_run_writes_reports_and_digest(tmp_path, capsys):
         assert f.readline().startswith("digest=")
 
 
+@pytest.mark.parametrize("sites,want", [
+    # one shape: the per-site figure is every site's
+    ("query,value", "per adapted site: 128 adapter + 48 selector params; "
+     "selector share per site 1.1231% of base, total across 2 sites 2.2461%"),
+    # the 16 -> 64 ffn site holds 2 rank-2 pairs of 80 columns and 3 heads
+    # of 64, so each site gets its own figure and the total sums them
+    ("query,ffn", "per adapted site: layers.0.query: 128 adapter + 48 "
+     "selector params; selector share per site 1.1231% of base | "
+     "layers.0.ffn: 320 adapter + 192 selector params; selector share per "
+     "site 4.4923% of base, total across 2 sites 5.6153%")])
+def test_overhead_counts_each_site(tmp_path, sites, want):
+    out = str(tmp_path / "o")
+    rc = parse_and_dispatch(["run", "--out-dir", out, "--methods",
+                             "seqft,amlora"]
+                            + _ov(["pretrain_epochs=1", f"sites={sites}"]))
+    assert rc == 0
+    with open(os.path.join(out, "overhead.txt"), encoding="utf-8") as f:
+        assert f.read() == ("seqft: base parameters 4274, no adapters "
+                            "attached\namlora: base parameters 4274; "
+                            + want + "\n")
+
+
 def test_run_rerun_byte_identical(tmp_path):
     outs = []
     for d in ("a", "b"):

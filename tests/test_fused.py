@@ -2,6 +2,7 @@
 and the per-step node budget of the hot path."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from amlora.autodiff import Tensor, finite_diff_check
 from amlora.baselines import make_driver
 from amlora.configfile import default_config, to_method_spec, to_model_config
 from amlora.model import build_model
-from amlora.selector import (AttentionalSelector, apply_gated, gate,
-                             sparsity_loss)
+from amlora.selector import AttentionalSelector, apply_gated, gate
 from reference import (adapter_apply, frozen, index_last, l1_norm, reshape,
                        stack_outputs, sum_all)
 
@@ -90,7 +90,7 @@ def test_adapter_bank_grads_match_finite_difference(shape, variant):
         total = sum_all(ad.mul(out, weights))
         if sel is None:
             return total
-        return ad.add(total, sparsity_loss(sel, 0.01))
+        return ad.add(total, ad.l1_sum(sel.heads, 0.01))
 
     assert finite_diff_check(loss, [x, base, current.A, current.B] + heads) \
         < 1e-6
@@ -141,7 +141,7 @@ def _run(fused: bool, n, gated, variant, shape, seed):
     loss = ad.add(sum_all(ad.mul(out, weights)),
                   sum_all(ad.mul(ad.relu(x), weights.data[..., :4])))
     if gated:
-        loss = ad.add(loss, sparsity_loss(sel, 1e-3) if fused
+        loss = ad.add(loss, ad.l1_sum(sel.heads, 1e-3) if fused
                       else _reference_sparsity(sel, 1e-3))
     ad.backward(loss)
     leaves = [x, w, b] + [t for a in stack.task_adapters for t in (a.A, a.B)]
@@ -215,16 +215,23 @@ def _default_model():
     return cfg, model, batch, labels
 
 
-def _step_nodes(model, batch, labels, extra=None) -> int:
+def _step_tags(model, batch, labels, driver=None) -> Counter:
+    """Tape tags of one training step, the driver's extra loss recorded after
+    the forward as ``train_task`` records it."""
     ad.reset_tape()
     loss = ad.cross_entropy(model.forward(batch, mode="train",
                                           rng=np.random.default_rng(1)),
                             labels)
+    extra = None if driver is None else driver.extra_loss(model)
     if extra is not None:
         loss = ad.add(loss, extra)
-    nodes = len(ad._state().tape)
+    tags = Counter(n.tag for n in ad._state().tape)
     ad.reset_tape()
-    return nodes
+    return tags
+
+
+def _step_nodes(model, batch, labels, driver=None) -> int:
+    return sum(_step_tags(model, batch, labels, driver).values())
 
 
 def test_pretraining_step_node_budget():
@@ -246,4 +253,22 @@ def test_amlora_step_node_budget_at_four_adapters():
         if stage < 3:
             driver.end_stage(model, stage)
     assert all(len(s.stack.task_adapters) == 4 for s in model.sites.values())
-    assert _step_nodes(model, batch, labels, driver.extra_loss(model)) <= 40
+    assert _step_nodes(model, batch, labels, driver) <= 40
+
+
+@pytest.mark.parametrize("lam", [1e-5, 0.0])
+def test_amlora_stage_step_tape_histogram(lam):
+    # default config, first stage: one l1 node over every site's heads; 36
+    # nodes when each site recorded its own l1 term and an add joined them
+    cfg, model, batch, labels = _default_model()
+    cfg["lambda"] = lam
+    driver = make_driver(to_method_spec(cfg))
+    driver.attach(model, seed=0)
+    driver.start_stage(model, 0, seed=0)
+    want = Counter(adapter_bank=4, add=5, attention=2, cross_entropy=1, l1=1,
+                   linear=10, mean=1, mul=4, relu=2)
+    if lam == 0.0:  # no penalty, so neither its node nor the add joining it
+        want.subtract(l1=1, add=1)
+    tags = _step_tags(model, batch, labels, driver)
+    assert +tags == +want
+    assert sum(tags.values()) == (30 if lam else 28)

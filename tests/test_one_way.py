@@ -273,6 +273,17 @@ def test_the_package_defines_no_reference_only_name():
     assert REFERENCE_ONLY.isdisjoint(amlora.__all__)
 
 
+def test_the_l1_term_has_one_owner():
+    # AmLoraDriver.extra_loss records one l1_sum over every site's heads; a
+    # per-selector helper split that sum by site and kept its own lam = 0 rule
+    src = os.path.dirname(amlora.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                assert "sparsity_loss" not in f.read(), name
+    assert "sparsity_loss" not in amlora.__all__
+
+
 def test_gates_are_handed_back_per_call_and_no_site_holds_them():
     # a switch on a shared object turned off the eval threads and the
     # layer-0 table, and two eval parts writing one slot would race

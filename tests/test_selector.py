@@ -8,7 +8,7 @@ from amlora.adapters import AdapterStack
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, StateError
 from amlora.selector import (AttentionalSelector, apply_gated, gate,
-                             mixed_forward, sparsity_loss, trainable_set)
+                             mixed_forward, trainable_set)
 from reference import materialized, stack_outputs
 
 
@@ -144,20 +144,12 @@ def test_sparsity_loss_exact_value():
     sel = AttentionalSelector(2, 3)
     sel.heads[0].data = np.array([[1.0], [-2.0], [0.0]])
     sel.heads[1].data = np.array([[0.5], [0.0], [4.0]])
-    assert sparsity_loss(sel, 0.5).data == 0.5 * (3.0 + 4.5)
-
-
-def test_sparsity_loss_off_when_lambda_zero():
-    sel = AttentionalSelector(2, 3)
-    sel.heads[0].data = np.ones((3, 1))
-    out = sparsity_loss(sel, 0.0)
-    assert out.data == 0.0
-    assert not out.requires_grad
+    assert ad.l1_sum(sel.heads, 0.5).data == 0.5 * (3.0 + 4.5)
 
 
 def test_sparsity_subgradient_zero_at_zero():
     sel = AttentionalSelector(2, 3)
-    loss = sparsity_loss(sel, 0.7)
+    loss = ad.l1_sum(sel.heads, 0.7)
     ad.backward(loss)
     for h in sel.heads:
         assert np.all(h.grad == 0.0)
@@ -166,7 +158,7 @@ def test_sparsity_subgradient_zero_at_zero():
 def test_sparsity_gradient_is_scaled_sign():
     sel = AttentionalSelector(1, 3)
     sel.heads[0].data = np.array([[2.0], [-3.0], [0.0]])
-    ad.backward(sparsity_loss(sel, 0.25))
+    ad.backward(ad.l1_sum(sel.heads, 0.25))
     assert np.array_equal(sel.heads[0].grad, 0.25 * np.array([[1.0], [-1.0], [0.0]]))
 
 
