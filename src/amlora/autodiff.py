@@ -186,16 +186,6 @@ def relu(t: Tensor) -> Tensor:
     return _make("relu", (t,), data, bw)
 
 
-def transpose(t: Tensor, axes: tuple[int, ...]) -> Tensor:
-    data = np.transpose(t.data, axes)
-    inv = tuple(np.argsort(axes))
-
-    def bw(g):
-        _accum(t, np.transpose(g, inv))
-
-    return _make("transpose", (t,), data, bw)
-
-
 def mean_axis(t: Tensor, axis: int) -> Tensor:
     n = t.data.shape[axis]
     data = t.data.mean(axis=axis)
@@ -204,20 +194,6 @@ def mean_axis(t: Tensor, axis: int) -> Tensor:
         _accum(t, np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
 
     return _make("mean", (t,), data, bw)
-
-
-def concat_last(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    widths = [p.data.shape[-1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-
-    def bw(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[..., off:off + w])
-            off += w
-
-    return _make("concat", tuple(parts), data, bw)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -234,35 +210,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make("embedding", (table,), data, bw)
 
 
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(
-            f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    if b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
-        raise DimensionError(
-            f"matmul batch dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            if b.data.ndim == 2:
-                _accum(b, _weight_grad(a.data, g))
-            else:
-                _accum(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return _make("matmul", (a, b), data, bw)
-
-
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of ``a @ W`` with respect to a 2-d ``W``, given ``g``."""
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -271,8 +218,9 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fused ops
 #
-# Each fused op records one tape node in place of a chain of the ops above.
-# It runs the chain's numpy expressions in order on arrays of the same
+# Each fused op records one tape node in place of a chain of per-op tape
+# ops, which live in ``tests/reference.py`` with the tests that compare the
+# two. It runs the chain's numpy expressions in order on arrays of the same
 # shapes and layouts, and its backward adds to each input's ``.grad`` once
 # per contribution in the chain's order, so every value and gradient keeps
 # the chain's bytes; pre-summing, stacking GEMMs or flattening 3-d matmuls
@@ -284,7 +232,8 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w.T + b``; replaces ``add(matmul(x, transpose(w, (1, 0))), b)``."""
+    """``x @ w.T + b``; replaces ``add(matmul(x, transpose(w, (1, 0))), b)``,
+    with ``matmul`` and ``transpose`` from ``tests/reference.py``."""
     if x.data.ndim < 2 or x.data.shape[-1] != w.data.shape[1]:
         raise DimensionError(
             f"linear input {x.data.shape} does not fit weight {w.data.shape}")
@@ -308,7 +257,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Splits ``d`` into ``heads`` heads, softmaxes ``q k^T / sqrt(d/heads)``
     over keys, and merges the per-head contexts back to ``(b, L, d)``.
     Replaces the reshape/transpose split of q, k and v, the score matmul,
-    scale and softmax, and the context matmul and merge.
+    scale and softmax, and the context matmul and merge, a chain of ops from
+    ``tests/reference.py``.
     """
     shape = q.data.shape
     if (len(shape) != 3 or k.data.shape != shape or v.data.shape != shape
@@ -361,7 +311,8 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
 
     Returns the output tensor and the softmax weights ``(..., n + 1)``
     (``None`` without heads). Replaces the per-adapter low-rank chains, the
-    per-head score matmuls, concat and softmax, and the index/mul/add mix.
+    per-head score matmuls, concat and softmax, and the index/mul/add mix:
+    ``stack_outputs`` and ``gate`` from ``tests/reference.py``, then the mix.
     """
     inputs = [base, x, *(t for A, B, _ in pairs for t in (A, B)), *(heads or ())]
     record = _records(inputs)
@@ -430,18 +381,6 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
 
 # ---------------------------------------------------------------------------
 # losses and activations the training loop needs
-
-
-def softmax(t: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis."""
-    if t.data.ndim == 0 or t.data.shape[-1] == 0:
-        raise DimensionError("softmax needs a non-empty last axis")
-    y = _softmax_rows(t.data)
-
-    def bw(g):
-        _accum(t, _softmax_grad(g, y))
-
-    return _make("softmax", (t,), y, bw)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:

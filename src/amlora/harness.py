@@ -63,18 +63,6 @@ class MetricsReport:
     # site name -> (adapter, selector) parameter counts, in site order
     site_params: dict = field(default_factory=dict)
 
-    @property
-    def num_sites(self) -> int:
-        return len(self.site_params)
-
-    @property
-    def adapter_params_per_site(self) -> int:  # the first site's
-        return next(iter(self.site_params.values()), (0, 0))[0]
-
-    @property
-    def selector_params_per_site(self) -> int:  # the first site's
-        return next(iter(self.site_params.values()), (0, 0))[1]
-
     def num_tasks(self) -> int:
         return len(self.acc)
 

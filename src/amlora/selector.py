@@ -6,10 +6,9 @@ each route's output is scored by its head, the scores are softmaxed, and the
 gated sum is added to the base projection. Heads start at zero, so gates start
 exactly uniform. An L1 penalty on the heads makes the gate vector sparse;
 ``AmLoraDriver.extra_loss`` owns it, one ``l1_sum`` over every site's heads.
-``apply_gated`` is the training path, one fused tape node per site; ``gate``
-with ``stack_outputs`` from ``tests/reference.py`` is the per-op reference
-path it is tested against. ``apply_gated`` hands back each call's gates; no
-selector keeps them.
+``apply_gated`` is the one gating path, one fused tape node per site, and it
+hands back each call's gates; no selector keeps them. The per-op chain it is
+tested against, ``gate`` and ``mixed_forward``, lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -60,14 +59,6 @@ def _require_fresh(selector: AttentionalSelector, n_outputs: int):
             f"{n_outputs} adapter outputs")
 
 
-def gate(selector: AttentionalSelector, adapter_outputs: list[Tensor]) -> Tensor:
-    """Softmax across routes of per-output head scores; shape (..., n+1)."""
-    _require_fresh(selector, len(adapter_outputs))
-    logits = [ad.matmul(out, head) for out, head in
-              zip(adapter_outputs, selector.heads)]
-    return ad.softmax(ad.concat_last(logits))
-
-
 def apply_gated(base_out: Tensor, stack: AdapterStack,
                 selector: AttentionalSelector | None,
                 x: Tensor) -> tuple[Tensor, np.ndarray | None]:
@@ -93,13 +84,6 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
     return ad.adapter_bank(
         base_out, x, [(a.A, a.B, a.scale) for a in adapters],
         None if selector is None else selector.heads)
-
-
-def mixed_forward(w0: Tensor, stack: AdapterStack,
-                  selector: AttentionalSelector, x: Tensor) -> Tensor:
-    """Gated forward h = x W0^T + sum_i g_i * (dw_i x), gates per example."""
-    base = ad.matmul(x, ad.transpose(w0, (1, 0)))
-    return apply_gated(base, stack, selector, x)[0]
 
 
 def trainable_set(selector: AttentionalSelector, stack: AdapterStack) -> list[Tensor]:

@@ -13,9 +13,10 @@ from amlora.autodiff import Tensor, finite_diff_check
 from amlora.baselines import make_driver
 from amlora.configfile import default_config, to_method_spec, to_model_config
 from amlora.model import build_model
-from amlora.selector import AttentionalSelector, apply_gated, gate
-from reference import (adapter_apply, frozen, index_last, l1_norm, reshape,
-                       stack_outputs, sum_all)
+from amlora.selector import AttentionalSelector, apply_gated
+from reference import (adapter_apply, frozen, gate, index_last, l1_norm,
+                       matmul, reshape, softmax, stack_outputs, sum_all,
+                       transpose)
 
 
 def _leaf(rng, shape):
@@ -135,7 +136,7 @@ def _run(fused: bool, n, gated, variant, shape, seed):
         base = ad.linear(x, w, b)
         out, _ = apply_gated(base, stack, sel, x)
     else:
-        base = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b)
+        base = ad.add(matmul(x, transpose(w, (1, 0))), b)
         out = _reference_gated(base, stack, sel, x)
     # x feeds a second consumer, so the order of its contributions counts
     loss = ad.add(sum_all(ad.mul(out, weights)),
@@ -181,7 +182,7 @@ def test_attention_is_bit_identical_to_the_op_chain():
     dh = d // nh
 
     def split(t):
-        return ad.transpose(reshape(t, (b, L, nh, dh)), (0, 2, 1, 3))
+        return transpose(reshape(t, (b, L, nh, dh)), (0, 2, 1, 3))
 
     def run(fused):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in raw]
@@ -190,10 +191,10 @@ def test_attention_is_bit_identical_to_the_op_chain():
             ctx = ad.attention(q, k, v, nh)
         else:
             sq, sk, sv = split(q), split(k), split(v)
-            scores = ad.mul(ad.matmul(sq, ad.transpose(sk, (0, 1, 3, 2))),
+            scores = ad.mul(matmul(sq, transpose(sk, (0, 1, 3, 2))),
                             1.0 / math.sqrt(dh))
-            ctx = reshape(ad.transpose(
-                ad.matmul(ad.softmax(scores), sv), (0, 2, 1, 3)), (b, L, d))
+            ctx = reshape(transpose(
+                matmul(softmax(scores), sv), (0, 2, 1, 3)), (b, L, d))
         ad.backward(sum_all(ad.mul(ctx, weights)))
         return ctx.data.tobytes(), [t.grad.tobytes() for t in leaves]
 

@@ -172,9 +172,10 @@ def test_run_stream_shapes_and_counts():
     n_sites = 2
     d_out, d_in, r = 8, 8, 2
     assert rep.trainable_per_task[0] == n_sites * (r * (d_in + d_out) + 2 * d_out)
-    assert rep.adapter_params_per_site == 3 * r * (d_in + d_out)
-    assert rep.selector_params_per_site == 4 * d_out
-    assert rep.num_sites == n_sites
+    adapter_params, selector_params = next(iter(rep.site_params.values()))
+    assert adapter_params == 3 * r * (d_in + d_out)
+    assert selector_params == 4 * d_out
+    assert len(rep.site_params) == n_sites
     assert rep.base_params == sum(
         p.size for _, p in build_model(MODEL, 0).base_parameters())
 

@@ -2,7 +2,8 @@
 evaluation has one batch default, report rows are built once, what a method
 attaches decides each site's forward, each verb accepts only the inputs it
 reads, each value has one owner, each choice set and rule is defined once,
-and the per-op reference path lives with the tests, not in the package."""
+and the per-op reference path, the gating chain included, lives with the
+tests, not in the package."""
 
 import ast
 import csv
@@ -248,7 +249,8 @@ def test_each_choice_set_and_the_sites_rule_are_defined_once():
 # the chains and dense views that only tests read, now in tests/reference.py
 REFERENCE_ONLY = {"adapter_apply", "merged_weight", "materialized", "frozen",
                   "outputs", "l1_norm", "index_last", "reshape", "sum_all",
-                  "item"}
+                  "item", "gate", "mixed_forward", "matmul", "transpose",
+                  "concat_last", "softmax"}
 
 
 def test_the_package_defines_no_reference_only_name():
@@ -271,6 +273,37 @@ def test_the_package_defines_no_reference_only_name():
                               if d in REFERENCE_ONLY]
     assert offenders == []
     assert REFERENCE_ONLY.isdisjoint(amlora.__all__)
+
+
+def test_every_public_definition_runs_in_the_package():
+    # a public top-level def or class that no module of the package loads
+    # (by name or as an attribute; an import in __init__.py is not a load)
+    # is read only by tests, and belongs in tests/reference.py
+    src = os.path.dirname(amlora.__file__)
+    defined, loaded = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        if name != "__init__.py":
+            defined += [(name, node.name) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    assert [d for d in defined if d[1] not in loaded] == []
+
+
+def test_metrics_report_has_no_per_site_shortcuts():
+    # site_params holds every site's counts; the first site's alone misled
+    # overhead.txt once sites differed in shape
+    for name in ("num_sites", "adapter_params_per_site",
+                 "selector_params_per_site"):
+        assert not hasattr(MetricsReport, name), name
 
 
 def test_the_l1_term_has_one_owner():

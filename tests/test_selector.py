@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from amlora import autodiff as ad
-from amlora.adapters import AdapterStack
+from amlora.adapters import AdapterStack, LoraAdapter
 from amlora.autodiff import Tensor, finite_diff_check
-from amlora.errors import ConfigError, StateError
-from amlora.selector import (AttentionalSelector, apply_gated, gate,
-                             mixed_forward, trainable_set)
-from reference import materialized, stack_outputs
+from amlora.errors import ConfigError, DimensionError, StateError
+from amlora.selector import AttentionalSelector, apply_gated, trainable_set
+from reference import gate, materialized, mixed_forward, stack_outputs
 
 
 def make_stack(n_tasks, d_out=6, d_in=4, rank=2, alpha=4.0, spread=0.5):
@@ -70,6 +69,56 @@ def test_stale_selector_raises():
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(StateError, match="stale"):
         gate(sel, stack_outputs(stack, x))
+
+
+def test_apply_gated_rejects_a_stale_selector():
+    # without the check the unheaded adapter would score 0 and the gates
+    # would come back uniform
+    stack = make_stack(2)
+    sel = AttentionalSelector(2, stack.d_out)  # one head short
+    x = Tensor(np.zeros((2, 4)))
+    base = Tensor(np.zeros((2, stack.d_out)))
+    with pytest.raises(StateError, match="stale"):
+        apply_gated(base, stack, sel, x)
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_apply_gated_rejects_a_wrong_input_dim(gated):
+    stack = make_stack(2)
+    sel = AttentionalSelector(len(stack), stack.d_out) if gated else None
+    x = Tensor(np.zeros((2, 5)))  # the adapters take d_in = 4
+    base = Tensor(np.zeros((2, stack.d_out)))
+    with pytest.raises(DimensionError, match="input dim 5"):
+        apply_gated(base, stack, sel, x)
+
+
+def test_apply_gated_rows_sum_to_one_fuzzed():
+    # criterion 2's fuzz space, on the gates the shipped path hands back
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    with ad.no_grad():
+        for _ in range(1000):
+            n = int(rng.integers(1, 5))
+            d_out = int(rng.integers(1, 13))
+            rows = int(rng.integers(1, 7))
+            d_in = 3
+            stack = AdapterStack(d_out, d_in, rank=1, alpha=1.0)
+            for _ in range(n):  # d_out = 1 is below new_adapter's rank rule
+                spread = rng.choice([0.02, 1.0, 25.0])
+                stack.task_adapters.append(LoraAdapter(
+                    Tensor(rng.normal(0.0, 1.0, (1, d_in))),
+                    Tensor(rng.normal(0.0, spread, (d_out, 1))), 1, 1.0))
+            sel = AttentionalSelector(n + 1, d_out)
+            for h in sel.heads:
+                h.data = rng.normal(0.0, rng.choice([0.0, 0.02, 1.0, 10.0]),
+                                    h.data.shape)
+            lead = (rows, 3) if rng.random() < 0.3 else (rows,)
+            x = Tensor(rng.normal(size=lead + (d_in,)))
+            _, gates = apply_gated(Tensor(np.zeros(lead + (d_out,))), stack,
+                                   sel, x)
+            assert gates.shape == lead + (n + 1,)
+            worst = max(worst, float(np.abs(gates.sum(axis=-1) - 1.0).max()))
+    assert worst <= 1e-10
 
 
 def test_extend_for_task():
