@@ -2,10 +2,10 @@
 
 A self-contained laboratory for studying catastrophic forgetting: a small
 reverse-mode autodiff engine, tiny transformer/MLP backbones with adapter
-attachment sites, per-task low-rank adapters, a softmax gating selector with
-L1 sparsity, baseline training methods, synthetic task streams with metrics
-reporting, and a numerical verifier showing that weight orthogonality does
-not prevent output drift.
+attachment sites, per-task low-rank adapters, a softmax gating selector whose
+heads carry an L1 penalty, baseline training methods, synthetic task streams
+with metrics reporting, and a numerical verifier showing that weight
+orthogonality does not prevent output drift.
 """
 
 from .adapters import AdapterStack, LoraAdapter, new_adapter

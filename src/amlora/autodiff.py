@@ -173,11 +173,14 @@ def mul(a, b) -> Tensor:
     return _make("mul", (a, b), data, bw)
 
 
-def relu(t: Tensor) -> Tensor:
+def relu(t: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """``np.where(t > 0, t, 0.0)``, into a new array or, numpy style, into
+    ``out``: ``t.data`` only from a caller that made ``t`` and reads it no
+    more."""
     mask = t.data > 0.0 if _records((t,)) else None  # only backward reads it
     # np.where(mask, x, 0.0) without a branch per element: fmax maps NaN to
     # 0 and the + 0.0 turns its -0.0 into +0.0, so the bits are the same.
-    data = np.fmax(t.data, 0.0)
+    data = np.fmax(t.data, 0.0, out=out)
     data += 0.0
 
     def bw(g):
@@ -228,7 +231,8 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 # column by column is the same max (exp maps a zero shift of either sign
 # to 1; a row with a NaN uses numpy's max), the zero route's logit and
 # head gradient are the +0.0 that BLAS gives for 0 @ a finite head, and a
-# gate or sum written into an adapter's own output is the same operation.
+# gate, sum, softmax or GEMM written into an array the op made (adapter
+# outputs, scores, logits, the merged heads) is the same operation.
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -275,8 +279,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(dh)
     scores = qh @ np.transpose(kh, (0, 1, 3, 2))
     scores *= scale
-    y = _softmax_rows(scores)
-    data = np.transpose(y @ vh, (0, 2, 1, 3)).reshape(shape)
+    y = _softmax_rows(scores, out=scores)  # the backward reads only y
+    data = np.empty(shape)  # each head's GEMM writes its columns of it
+    np.matmul(y, vh, out=np.transpose(data.reshape(split), (0, 2, 1, 3)))
 
     def bw(g):
         gc = np.ascontiguousarray(np.transpose(g.reshape(split), (0, 2, 1, 3)))
@@ -317,8 +322,11 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
     inputs = [base, x, *(t for A, B, _ in pairs for t in (A, B)), *(heads or ())]
     record = _records(inputs)
     xd = x.data
-    lows = [xd @ A.data.T for A, _, _ in pairs]
-    outs = [low @ B.data.T for low, (_, B, _) in zip(lows, pairs)]
+    if record:
+        lows = [xd @ A.data.T for A, _, _ in pairs]
+        outs = [low @ B.data.T for low, (_, B, _) in zip(lows, pairs)]
+    else:  # only a node's backward reads the low-rank products
+        outs = [(xd @ A.data.T) @ B.data.T for A, B, _ in pairs]
     for o, (_, _, scale) in zip(outs, pairs):
         o *= scale
     # adapter i's output needs a gradient when x or its pair does
@@ -330,7 +338,7 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
         logits = np.zeros(xd.shape[:-1] + (len(pairs) + 1,))
         for i, (o, h) in enumerate(zip(outs, heads[1:]), start=1):
             logits[..., i:i + 1] = o @ h.data
-        y = _softmax_rows(logits)
+        y = _softmax_rows(logits, out=logits)
     gated = bool(pairs) and y is not None and (
         any(out_req) or any(h.requires_grad for h in heads))
     data = base.data
@@ -383,16 +391,17 @@ def adapter_bank(base: Tensor, x: Tensor, pairs: Sequence[tuple],
 # losses and activations the training loop needs
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of ``x``, into a new array. The row max is
-    taken a column at a time: numpy's per-row ``max`` is slow on short rows.
+def _softmax_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of ``x``, into a new array or, numpy style,
+    into ``out`` (``x`` itself too). The row max is taken a column at a time:
+    numpy's per-row ``max`` is slow on short rows.
     """
     m = x[..., :1].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j:j + 1], out=m)
     if np.isnan(m).any():  # numpy's max picks a row's NaN by its position
         m = x.max(axis=-1, keepdims=True)
-    e = x - m
+    e = np.subtract(x, m, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

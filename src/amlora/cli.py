@@ -248,7 +248,7 @@ def gradcheck_toy(seed: int = 0) -> float:
     """Max relative gradient error of the full gated loss on a tiny model.
 
     One transformer layer at d=8 with rank-2 adapters for two tasks; the
-    loss is cross-entropy plus the L1 gate-sparsity term, and the check
+    loss is cross-entropy plus the L1 term on the gate heads, and the check
     covers the second task's trainable set (new adapter pair + all heads).
     """
     cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=1, num_heads=2,

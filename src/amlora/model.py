@@ -167,8 +167,11 @@ class Backbone:
                 *(self._per_distinct_token(ids, lins, gates) if table
                   else [lin.forward(x, gates) for lin in lins]),
                 self.config.num_heads), gates), drop, rng))
-            x = ad.add(x, ad.dropout(layer["ffn2"].forward(ad.relu(
-                layer["ffn"].forward(x, gates))), drop, rng))
+            # the FFN hidden is this loop's own: relu writes into it
+            h = layer["ffn"].forward(x, gates)
+            x = ad.add(x, ad.dropout(layer["ffn2"].forward(
+                ad.relu(h, out=h.data)), drop, rng))
+            del h
         return ad.mean_axis(x, axis=1)
 
     def _per_distinct_token(self, ids, lins, gates) -> list[Tensor]:
@@ -198,8 +201,9 @@ class Backbone:
                 f"feature batch must be b x {self.config.embed_dim}, "
                 f"got {x.data.shape}")
         for layer in self.layers:
-            x = ad.add(x, ad.dropout(ad.relu(layer["ffn"].forward(x, gates)),
-                                     drop, rng))
+            h = layer["ffn"].forward(x, gates)
+            x = ad.add(x, ad.dropout(ad.relu(h, out=h.data), drop, rng))
+            del h
         return x
 
 

@@ -4,7 +4,9 @@ One score head (a d_out vector) per route: head 0 scores the constant-zero
 route (the base model alone), head i task adapter i. Per example and position
 each route's output is scored by its head, the scores are softmaxed, and the
 gated sum is added to the base projection. Heads start at zero, so gates start
-exactly uniform. An L1 penalty on the heads makes the gate vector sparse;
+exactly uniform. An L1 penalty shrinks the heads toward 0, which moves every
+logit toward the zero route's 0 and so the gates toward uniform; acceptance
+criterion 8 counts the near-zero head entries it makes, not sparse gates.
 ``AmLoraDriver.extra_loss`` owns it, one ``l1_sum`` over every site's heads.
 ``apply_gated`` is the one gating path, one fused tape node per site, and it
 hands back each call's gates; no selector keeps them. The per-op chain it is

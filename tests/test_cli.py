@@ -313,23 +313,64 @@ GATES_SHA256 = \
     "bccb144e1b92f4bb537fba46b83c087465b366ca964dab9c19741df94548f94b"
 
 
-def test_inspect_gates_bytes_are_pinned(tmp_path):
+def _pinned_cli(verb, out, *flags):
+    """Run ``amlora <verb>`` at the ``GATES_PIN`` overrides in a subprocess
+    with BLAS at 1 thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = str(tmp_path / "o")
-    argv = [sys.executable, "-m", "amlora.cli", "inspect-gates", "--out-dir",
-            out] + [a for kv in GATES_PIN for a in ("--override", kv)]
+    argv = [sys.executable, "-m", "amlora.cli", verb, "--out-dir", out,
+            *flags] + [a for kv in GATES_PIN for a in ("--override", kv)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(out, "gates.csv"), "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
+
+
+def _sha256(out, name):
+    with open(os.path.join(out, name), "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def test_inspect_gates_bytes_are_pinned(tmp_path):
+    out = str(tmp_path / "o")
+    _pinned_cli("inspect-gates", out)
+    digest = _sha256(out, "gates.csv")
     assert digest == GATES_SHA256, (
         f"gates.csv sha256 {digest} under numpy {np.__version__}; the pin "
         f"was taken under numpy 2.4.6 with BLAS at 1 thread")
+
+
+# every method's metrics.csv and trained checkpoint at the GATES_PIN
+# overrides; seqft, pertaskft and mtl train all base tensors
+RUN_SHA256 = {
+    "metrics.csv":
+        "1e185f14497b89b44225d8d55b059fcfd0bcffa2b67a21bef9cc2ff18fe2af52",
+    "ckpt_seqft_order1_seed0.bin":
+        "df9ab2b395de23b144d1b61537cc1894462fd449b289c3a7c232b3000867faa4",
+    "ckpt_sinlora_order1_seed0.bin":
+        "2a4601cb1a0db215790dcce304829472376129631e420515ab0797bc92762a9a",
+    "ckpt_inclora_order1_seed0.bin":
+        "61db0123081174b43fa8c40330d45794d67b4990b85a981d7a559777585e4fa8",
+    "ckpt_amlora_order1_seed0.bin":
+        "e62483118d1c7f9f4c7f1547498b8c39b6d3b99ab09649a53dee5e7ef5434964",
+    "ckpt_pertaskft_order1_seed0.bin":
+        "4ba74149ebd6302b1369b49302056167dc6096bdfe83ff3cb882deeb55c47583",
+    "ckpt_mtl_order1_seed0.bin":
+        "e381c76faac703c0463a52493e80497447531d2655715ec0ca4c88e83f6a8cb1",
+}
+
+
+def test_trained_bytes_of_every_method_are_pinned(tmp_path):
+    out = str(tmp_path / "o")
+    _pinned_cli("run", out, "--methods",
+                "seqft,sinlora,inclora,amlora,pertaskft,mtl", "--seeds", "0",
+                "--save-checkpoints")
+    got = {name: _sha256(out, name) for name in RUN_SHA256}
+    assert got == RUN_SHA256, (
+        f"run output sha256 under numpy {np.__version__}; the pins were "
+        f"taken under numpy 2.4.6 with BLAS at 1 thread")
 
 
 def test_report_without_metrics_exit_1(tmp_path, capsys):

@@ -31,6 +31,9 @@ SPECIAL = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
 def test_relu_matches_where(x):
     assert np.array_equal(_bits(ad.relu(Tensor(x)).data),
                           _bits(np.where(x > 0, x, 0.0)))
+    own = x.copy()  # the out= form, written over its own input
+    assert ad.relu(Tensor(own), out=own).data is own
+    assert np.array_equal(_bits(own), _bits(np.where(x > 0, x, 0.0)))
 
 
 def test_relu_of_negative_zero_is_positive_zero_at_every_length():
@@ -71,12 +74,17 @@ def test_softmax_rows_matches_the_three_line_expression_on_special_rows(n):
     x[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
     x[0, 0] = -np.inf
     x[0, 1] = np.where(np.arange(n) % 2, 0.0, -0.0)
-    for view in (x, x[:, ::3]):  # contiguous rows and a strided view
+    for rows in (slice(None), slice(None, None, 3)):  # contiguous, strided
+        view = x[:, rows]
         keep = view.copy()
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = ad._softmax_rows(view), _three_line_softmax(view)
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(view), _bits(keep))
+        own = x.copy()[:, rows]  # the out= form, written over its own input
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert ad._softmax_rows(own, out=own) is own
+        assert np.array_equal(_bits(own), _bits(want))
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.3, 1 / 3, 0.5, 0.7, 0.999])

@@ -4,8 +4,9 @@ bytes of the recording forward, which projects every position of every row.
 
 The reference runs with the tape recording (outside ``no_grad``), the one
 path that never takes the table. Comparisons are on int64 views; the gates
-each site hands back are compared the same way. The last test checks that an
-eval forward frees each layer's temporaries before the next layer starts.
+each site hands back are compared the same way. The last two tests check
+that an eval forward frees each layer's temporaries before the next layer
+starts, and bound the most it holds at once.
 """
 
 import tracemalloc
@@ -160,3 +161,21 @@ def test_a_layer_holds_no_temporary_of_the_layer_before():
         tracemalloc.stop()
     stream = ids.size * model.config.embed_dim * 8  # one (b, L, d) array
     assert held[0] < 1.5 * stream, (held[0], stream)
+
+
+def test_an_eval_forward_holds_at_most_nine_streams():
+    # relu and the softmax write into the FFN hidden and the attention scores
+    # their callers made, and the bank keeps no low-rank products without a
+    # tape: 8.3 streams at the peak, against 10.0 with a second FFN hidden
+    # and a second score array
+    model, x = _setup("default", "amlora", 4)
+    ids = x[:200]
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            model.features(ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stream = ids.size * model.config.embed_dim * 8  # one (b, L, d) array
+    assert peak <= 9 * stream, peak / stream
