@@ -8,7 +8,8 @@ an evaluation enters ``no_grad`` itself.
 The tape is rebuilt on every forward pass, so parameter sets that grow over
 time (new adapters, new selector heads) need no graph surgery.
 
-Each training step allocates the tape's activations and frees them again.
+Each training step allocates the tape's activations, and ``backward`` frees
+each node's grad and closure as soon as that node's backward has run.
 Importing this module therefore sets two glibc malloc options for the whole
 process: freed memory stays mapped for reuse instead of going back to the
 kernel, which would fault it in afresh on the next step. Off glibc the
@@ -474,8 +475,10 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def backward(loss: Tensor):
     """Populate grads of every trainable tensor reachable from ``loss``.
 
-    Consumes the thread-local tape: the nodes are walked exactly once in
-    reverse insertion order and the tape is cleared afterwards.
+    Consumes the thread-local tape: nodes pop off its end in reverse
+    insertion order. Every reader of a node's output sits later on the
+    tape, so its grad is complete at the pop; the node, that grad and what
+    only its closure holds are dropped before the next pop.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise GradientError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -484,11 +487,12 @@ def backward(loss: Tensor):
         raise GradientError("loss is not on the active tape (already consumed?)")
     loss.grad = np.ones_like(loss.data)
     try:
-        for node in reversed(tape):
-            g = node.output.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
+        while tape:
+            node = tape.pop()
+            g, node.output.grad = node.output.grad, None
+            if g is not None:
+                node.backward_fn(g)
+            del node, g
     finally:
         for node in tape:
             node.output.grad = None
@@ -521,9 +525,10 @@ class Optimizer:
     flat arrays in which each parameter owns one slice. ``step`` checks every
     grad before it changes anything, gathers the grads into one array, runs
     the update expression once over it, subtracts each parameter's slice in
-    place and clears the grads. Every operation is elementwise, so the bytes
-    equal those of the same update run tensor by tensor. Frozen tensors may
-    never be registered.
+    place and clears the grads; Adam's intermediates go into that array or
+    one scratch array ``s`` of its size. Every operation is elementwise and
+    in the expression's order, so the bytes equal those of the same update
+    run tensor by tensor. Frozen tensors may never be registered.
     """
 
     def __init__(self, params: Iterable[Tensor], kind: str = "adam",
@@ -562,16 +567,19 @@ class Optimizer:
         if self.kind == "sgd":
             update = self.lr * g
         else:
-            m, v = self._m, self._v
+            m, v, s = self._m, self._v, np.empty_like(g)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(1 - self.beta1, g, out=s)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1 ** self.step_count)
-            vhat = v / (1 - self.beta2 ** self.step_count)
-            update = self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        for p, s in zip(self.params, self._slices):
-            p.data -= update[s].reshape(p.data.shape)
+            np.multiply(1 - self.beta2, g, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, 1 - self.beta2 ** self.step_count, out=s), out=s)
+            s += self.eps
+            update = np.divide(m, 1 - self.beta1 ** self.step_count, out=g)
+            update *= self.lr
+            update /= s
+        for p, part in zip(self.params, self._slices):
+            p.data -= update[part].reshape(p.data.shape)
             p.grad = None
 
 

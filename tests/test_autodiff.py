@@ -146,6 +146,25 @@ def test_backward_consumes_tape():
         ad.backward(loss)
 
 
+def test_a_raising_backward_leaves_an_empty_tape_and_no_output_grads():
+    x = Tensor([2.0, -1.0], requires_grad=True)
+    a = ad.mul(x, 3.0)
+
+    def boom(g):
+        raise FloatingPointError("backward failed")
+
+    b = ad._make("boom", (a,), a.data.copy(), boom)
+    c = ad.mul(b, b)
+    loss = sum_all(c)
+    with pytest.raises(FloatingPointError, match="backward failed"):
+        ad.backward(loss)
+    assert ad._state().tape == []
+    assert [t.grad for t in (a, b, c, loss)] == [None] * 4
+    loss = sum_all(ad.mul(x, x))  # the next backward works
+    ad.backward(loss)
+    assert x.grad.tolist() == [4.0, -2.0] and loss.grad is None
+
+
 def test_forward_is_deterministic_bitwise():
     rng = np.random.default_rng(5)
     w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)

@@ -180,9 +180,22 @@ class _PerTensorReference:
 RAGGED = [(3,), (2, 5), (1,), (4, 3, 2), (7, 1), (32,)]
 
 
-@pytest.mark.parametrize("kind,lr", [("adam", 1e-3), ("adam", 2e-2),
-                                     ("sgd", 0.1)])
-def test_flat_update_matches_per_tensor_loop(kind, lr):
+def _normal_grad(rng, shape):
+    return rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=shape)
+
+
+def _extreme_grad(rng, shape):
+    # +-0, subnormals, and 1e300-scale values whose squares overflow to inf
+    return rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 1.0,
+                       1e300, -3e300, 7e299], size=shape)
+
+
+@pytest.mark.parametrize("kind,lr,grad", [
+    pytest.param("adam", 1e-3, _normal_grad, id="adam-0.001"),
+    pytest.param("adam", 2e-2, _normal_grad, id="adam-0.02"),
+    pytest.param("sgd", 0.1, _normal_grad, id="sgd-0.1"),
+    pytest.param("adam", 1e-3, _extreme_grad, id="adam-0.001-extreme")])
+def test_flat_update_matches_per_tensor_loop(kind, lr, grad):
     rng = np.random.default_rng(6)
     init = [rng.normal(size=s) for s in RAGGED]
     flat = [Tensor(a.copy(), requires_grad=True) for a in init]
@@ -190,10 +203,11 @@ def test_flat_update_matches_per_tensor_loop(kind, lr):
     opt, want = Optimizer(flat, kind=kind, lr=lr), _PerTensorReference(ref, kind, lr)
     for _ in range(5):
         for p, q in zip(flat, ref):
-            g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=p.data.shape)
+            g = grad(rng, p.data.shape)
             p.grad, q.grad = g.copy(), g
-        opt.step()
-        want.step()
+        with np.errstate(over="ignore"):
+            opt.step()
+            want.step()
         for p, q in zip(flat, ref):
             assert p.grad is None
             assert np.array_equal(_bits(p.data), _bits(q.data))
