@@ -21,7 +21,7 @@ from .harness import (MetricsReport, TrainConfig, emit_report, evaluate,
 from .model import ModelConfig, build_model
 from .ortho import (counterexample_1d, counterexample_2d, counterexample_nd,
                     random_orthogonality_study)
-from .selector import AttentionalSelector, trainable_set
+from .selector import AttentionalSelector
 from .tasks import TaskSpec, TaskStream, build_stream, generate_task
 
 __version__ = "0.1.0"
@@ -37,5 +37,5 @@ __all__ = [
     "finite_diff_check", "generate_task", "load_checkpoint", "load_config",
     "make_driver", "new_adapter", "no_grad", "parse_config",
     "random_orthogonality_study", "run_stream", "save_checkpoint",
-    "train_task", "trainable_set",
+    "train_task",
 ]

@@ -2,7 +2,7 @@
 
 Each adapter holds a pair (B: d_out x r, A: r x d_in) whose effective update
 is (alpha/r) * B @ A. A stack keeps one adapter per task; the gate's route 0,
-the base model alone, needs none. Only the newest adapter is ever trainable.
+the base model alone, needs none. A stack only grows; drivers pick what trains.
 ``selector.apply_gated`` runs a stack's adapters in one fused tape node; the
 per-adapter chain and the dense update that the tests check it against live
 in ``tests/reference.py``.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 
 DEFAULT_RANK = 8
 DEFAULT_ALPHA = 32.0
@@ -27,12 +27,6 @@ class LoraAdapter:
         self.B = B
         self.rank = rank
         self.alpha = float(alpha)
-
-    def freeze(self):
-        self.A.requires_grad = False
-        self.B.requires_grad = False
-        self.A.grad = None
-        self.B.grad = None
 
     @property
     def scale(self) -> float:
@@ -67,18 +61,13 @@ class AdapterStack:
         self.rank = rank
         self.alpha = float(alpha)
         self.task_adapters: list[LoraAdapter] = []
-        self.training_active = False
 
     def __len__(self) -> int:
         """Number of routes, the zero route included."""
         return len(self.task_adapters) + 1
 
     def begin_task(self, seed: int) -> LoraAdapter:
-        """Freeze all previous adapters and append a fresh trainable one."""
-        if self.training_active:
-            raise StateError("begin_task called while a task is mid-training")
-        for a in self.task_adapters:
-            a.freeze()
+        """Append a fresh adapter for the next task."""
         adapter = new_adapter(self.d_out, self.d_in, self.rank, self.alpha,
                               seed=seed)
         self.task_adapters.append(adapter)

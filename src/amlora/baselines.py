@@ -1,17 +1,18 @@
 """Training-method drivers for sequential task streams.
 
-Each driver tells the harness what to attach to the model, which parameters
-train during a given stage, and what extra loss terms apply. Methods:
+Each driver tells the harness what to attach to the model, which tensors
+train during a given stage (``stage_params``; ``Driver.start_stage`` lets
+exactly those train), and what extra loss terms apply. Methods, and what
+each stage trains:
 
-* ``seqft``     -- full fine-tuning of all base weights, task after task.
-* ``sinlora``   -- one low-rank adapter per site, trained continually and
-                   never frozen.
-* ``inclora``   -- a new adapter per task; prior adapters freeze and their
-                   outputs are summed without any weighting.
-* ``amlora``    -- a new adapter per task plus a gating selector that mixes
-                   all adapter outputs with input-dependent softmax weights.
-* ``pertaskft`` -- an independent fully fine-tuned model per task.
-* ``mtl``       -- one model trained on the shuffled union of all tasks.
+* ``seqft``     -- every base weight, task after task.
+* ``sinlora``   -- one low-rank adapter pair per site, the same in each stage.
+* ``inclora``   -- a new adapter pair per site; earlier pairs stay fixed and
+                   all outputs are summed without any weighting.
+* ``amlora``    -- a new adapter pair per site plus all gate heads (AR) or the
+                   newest (NR); the gate mixes the outputs by softmax weights.
+* ``pertaskft`` -- every base weight of a fresh model per task.
+* ``mtl``       -- every base weight, on the shuffled union of all tasks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapters import DEFAULT_ALPHA, DEFAULT_RANK, AdapterStack
 from .errors import ConfigError
-from .selector import AttentionalSelector, trainable_set
+from .selector import AttentionalSelector
 
 METHODS = ("seqft", "sinlora", "inclora", "amlora", "pertaskft", "mtl")
 
@@ -62,7 +63,6 @@ def _site_seeds(seed: int, site_names) -> dict:
 
 
 def _attach_stacks(model, spec: MethodSpec):
-    model.set_base_trainable(False)
     for site in model.sites.values():
         site.stack = AdapterStack(site.d_out, site.d_in, spec.rank, spec.alpha)
 
@@ -80,20 +80,21 @@ class Driver:
         pass
 
     def start_stage(self, model, stage: int, seed: int) -> list:
+        """The tensors that train in ``stage``; every other tensor of the
+        model is frozen. The one place a method's choice is applied."""
+        params = self.stage_params(model, stage, seed)
+        model.train_only(params)
+        return params
+
+    def stage_params(self, model, stage: int, seed: int) -> list:
         return []
 
     def extra_loss(self, model):
         return None
 
-    def end_stage(self, model, stage: int):
-        pass
-
 
 class SeqFTDriver(Driver):
-    def attach(self, model, seed):
-        model.set_base_trainable(True)
-
-    def start_stage(self, model, stage, seed):
+    def stage_params(self, model, stage, seed):
         return [t for _, t in model.base_parameters()]
 
 
@@ -111,9 +112,8 @@ class SinLoraDriver(Driver):
         seeds = _site_seeds(seed, model.sites)
         for name, site in model.sites.items():
             site.stack.begin_task(seeds[name])
-            site.stack.training_active = True
 
-    def start_stage(self, model, stage, seed):
+    def stage_params(self, model, stage, seed):
         params = []
         for site in model.sites.values():
             a = site.stack.task_adapters[0]
@@ -125,19 +125,13 @@ class IncLoraDriver(Driver):
     def attach(self, model, seed):
         _attach_stacks(model, self.spec)
 
-    def start_stage(self, model, stage, seed):
+    def stage_params(self, model, stage, seed):
         seeds = _site_seeds(seed, model.sites)
         params = []
         for name, site in model.sites.items():
-            site.stack.begin_task(seeds[name])
-            site.stack.training_active = True
-            a = site.stack.task_adapters[-1]
+            a = site.stack.begin_task(seeds[name])
             params.extend([a.A, a.B])
         return params
-
-    def end_stage(self, model, stage):
-        for site in model.sites.values():
-            site.stack.training_active = False
 
 
 class AmLoraDriver(IncLoraDriver):
@@ -148,16 +142,17 @@ class AmLoraDriver(IncLoraDriver):
         for site in model.sites.values():
             site.selector = AttentionalSelector(1, site.d_out, self.spec.variant)
 
-    def start_stage(self, model, stage, seed):
-        super().start_stage(model, stage, seed)
+    def stage_params(self, model, stage, seed):
+        """Per site the new adapter pair, then all heads (AR) or the newest."""
         self.lam = self.spec.lam_at(stage)
+        seeds = _site_seeds(seed, model.sites)
         params = []
-        for site in model.sites.values():
+        for name, site in model.sites.items():
+            a = site.stack.begin_task(seeds[name])
             site.selector.extend_for_task(site.stack)
-            trainable = trainable_set(site.selector, site.stack)
-            for head in site.selector.heads:
-                head.requires_grad = head in trainable
-            params.extend(trainable)
+            heads = site.selector.heads
+            params += [a.A, a.B] + (heads if site.selector.variant == "AR"
+                                    else heads[-1:])
         return params
 
     def extra_loss(self, model):

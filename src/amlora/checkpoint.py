@@ -5,16 +5,17 @@ each ``u32 name_len | name utf-8 | u32 rank | u32 dims[rank] | f64-LE data``.
 The config records come first: rank-0 ``config.*`` scalars and
 ``config.sites_mask``. A flag (``config.backbone_is_mlp``,
 ``config.variant_is_ar`` and each ``config.sites_mask`` entry) must read
-exactly 0.0 or 1.0. The tensor records follow, named and ordered for both
-save and load by one list, ``_tensors``: ``base.<param>``, then per site in
-sorted order ``site.<site>.adapter<k>.A``/``.B`` (the k-th task adapter of
-the site's stack, by position, from 1) and ``site.<site>.head<j>``. No
-forward rule is stored, since a loaded site runs what these attach; the
-rule-index record of older files is ignored. Before building anything, the
-loader matches each config int that sizes a tensor to the extent of the base
-record it sizes; then it checks each record against the rebuilt model: rank 0
-for a config scalar, ``(rank, d_in)`` for ``A``, ``(d_out, rank)`` for ``B``
-and ``(d_out, 1)`` for a head. Each mismatch raises ``CheckpointFormatError``
+exactly 0.0 or 1.0. The tensor records follow, named and ordered for save,
+load and ``Backbone.train_only`` by one list, ``Backbone.tensors``:
+``base.<param>``, then per site in sorted order ``site.<site>.adapter<k>.A``/
+``.B`` (the k-th task adapter of the site's stack, by position, from 1) and
+``site.<site>.head<j>``. No forward rule is stored, since a loaded site runs
+what these attach; the rule-index record of older files is ignored. A record
+named twice is corrupt. Before building anything, the loader matches each
+config int that sizes a tensor to the extent of the base record it sizes;
+then it checks each record against the rebuilt model: rank 0 for a config
+scalar, ``(rank, d_in)`` for ``A``, ``(d_out, rank)`` for ``B`` and
+``(d_out, 1)`` for a head. Each mismatch raises ``CheckpointFormatError``
 naming the record; a config the model rejects raises it with the model's
 message, which names the field (record ``config.<field>``). Floats are stored
 exactly, so load(save(model)) reproduces eval logits bit-for-bit. Optimizer
@@ -30,28 +31,12 @@ import numpy as np
 
 from .adapters import AdapterStack
 from .atomic import atomic_write
-from .autodiff import Tensor
 from .errors import CheckpointFormatError, ConfigError
 from .model import ADAPTER_SITES, CONFIG_INTS, Backbone, ModelConfig, build_model
 from .selector import AttentionalSelector
 
 MAGIC_PREFIX = b"AMLORA-CKPT "
 VERSION = 1
-
-
-def _tensors(model: Backbone) -> list[tuple[str, Tensor]]:
-    """Every tensor record of ``model`` by name, in file order."""
-    out = [(f"base.{name}", t) for name, t in model.base_parameters()]
-    for site_name in sorted(model.sites):
-        site, prefix = model.sites[site_name], f"site.{site_name}"
-        if site.stack is not None:
-            for k, a in enumerate(site.stack.task_adapters, start=1):
-                out += [(f"{prefix}.adapter{k}.A", a.A),
-                        (f"{prefix}.adapter{k}.B", a.B)]
-        if site.selector is not None:
-            out += [(f"{prefix}.head{j}", h)
-                    for j, h in enumerate(site.selector.heads)]
-    return out
 
 
 def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
@@ -77,7 +62,7 @@ def _records_from_model(model: Backbone) -> list[tuple[str, np.ndarray]]:
                     if s.selector is not None), None)
     scalar("config.variant_is_ar",
            any_sel is None or any_sel.variant == "AR")
-    return recs + [(name, t.data) for name, t in _tensors(model)]
+    return recs + [(name, t.data) for name, t in model.tensors()]
 
 
 def save_checkpoint(model: Backbone, path: str):
@@ -141,6 +126,8 @@ def _read_records(path: str) -> dict[str, np.ndarray]:
             if math.prod(max(dim, 1) for dim in dims) > 100_000_000:
                 raise CheckpointFormatError(f"corrupt record {name}: too large")
             data = np.frombuffer(_read_exact(f, 8 * math.prod(dims)), dtype="<f8")
+            if name in records:
+                raise CheckpointFormatError(f"record {name!r} appears twice")
             records[name] = data.reshape(dims).copy()
     return records
 
@@ -246,7 +233,7 @@ def _model_from_records(records: dict) -> Backbone:
                 raise CheckpointFormatError(
                     f"site {site_name}: {n} adapters but {heads} heads")
             site.selector = AttentionalSelector(n + 1, site.d_out, variant)
-    for name, t in _tensors(model):
+    for name, t in model.tensors():
         t.data = _require_shape(records, name, t.data.shape)
-        t.requires_grad = False
+    model.train_only(())
     return model

@@ -259,7 +259,6 @@ def gradcheck_toy(seed: int = 0) -> float:
                                     variant="AR", lam=1e-3))
     driver.attach(model, seed + 1)
     driver.start_stage(model, 0, seed + 2)
-    driver.end_stage(model, 0)
     params = driver.start_stage(model, 1, seed + 3)
     # Nudge everything off its zero init so the gradients are generic.
     rng = np.random.default_rng(seed + 4)

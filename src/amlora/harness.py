@@ -205,14 +205,15 @@ def pretrain_base(model_cfg: ModelConfig, model_seed: int, stream: TaskStream,
     model = build_model(model_cfg, model_seed)
     if stream.pretrain is not None and train_cfg.pretrain_epochs > 0:
         pdata = generate_task(stream.pretrain)
-        model.set_base_trainable(True)
+        base = [t for _, t in model.base_parameters()]
+        model.train_only(base)
         pcfg = replace(train_cfg, epochs=train_cfg.pretrain_epochs,
                        lr=train_cfg.pretrain_lr, pretrain_epochs=0)
-        opt = Optimizer([t for _, t in model.base_parameters()],
-                        kind=train_cfg.optimizer, lr=train_cfg.pretrain_lr)
+        opt = Optimizer(base, kind=train_cfg.optimizer,
+                        lr=train_cfg.pretrain_lr)
         train_task(model, opt, pdata.train_x, pdata.train_y, pcfg,
                    np.random.default_rng(pretrain_seed))
-        model.set_base_trainable(False)
+        model.train_only(())
     return model
 
 
@@ -254,7 +255,6 @@ def run_stream(stream: TaskStream, method: MethodSpec, model_cfg: ModelConfig,
             tx, ty = tdata.train_x, tdata.train_y
         train_task(model, opt, tx, ty, train_cfg, rng,
                    extra_loss_fn=lambda: driver.extra_loss(model))
-        driver.end_stage(model, stage)
 
         if driver.fresh_model_per_stage:
             own_acc.append(evaluate(model, tdata))

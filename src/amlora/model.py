@@ -118,10 +118,25 @@ class Backbone:
             params.append((f"{lin.name}.b", lin.bias))
         return params
 
-    def set_base_trainable(self, flag: bool):
-        for _, p in self.base_parameters():
-            p.requires_grad = flag
-            p.grad = None
+    def tensors(self) -> list[tuple[str, Tensor]]:
+        """Every tensor of the model by checkpoint record name, in file order."""
+        out = [(f"base.{name}", t) for name, t in self.base_parameters()]
+        for site_name in sorted(self.sites):
+            site, prefix = self.sites[site_name], f"site.{site_name}"
+            if site.stack is not None:
+                for k, a in enumerate(site.stack.task_adapters, start=1):
+                    out += [(f"{prefix}.adapter{k}.A", a.A),
+                            (f"{prefix}.adapter{k}.B", a.B)]
+            if site.selector is not None:
+                out += [(f"{prefix}.head{j}", h)
+                        for j, h in enumerate(site.selector.heads)]
+        return out
+
+    def train_only(self, params):
+        """Train exactly ``params``: freeze every other tensor, clear all grads."""
+        for _, t in self.tensors():
+            t.requires_grad = any(t is p for p in params)
+            t.grad = None
 
     def forward(self, batch, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> Tensor:

@@ -27,7 +27,7 @@ VARIANTS = ("NR", "AR")
 
 class AttentionalSelector:
     """Ordered score heads [w_0, ..., w_n], one per route; ``variant``
-    picks the heads that train. ``AmLoraDriver.extra_loss`` penalizes them."""
+    picks the heads that train. ``AmLoraDriver`` trains and penalizes them."""
 
     def __init__(self, stack_len: int, d_out: int, variant: str = "AR"):
         if stack_len < 1:
@@ -87,20 +87,3 @@ def apply_gated(base_out: Tensor, stack: AdapterStack,
         base_out, x, [(a.A, a.B, a.scale) for a in adapters],
         None if selector is None else selector.heads)
 
-
-def trainable_set(selector: AttentionalSelector, stack: AdapterStack) -> list[Tensor]:
-    """Parameters that train for the active task: new adapter pair plus heads.
-
-    ``selector.variant`` AR trains every head, NR only the newest. This is the
-    only encoding of that rule; drivers set ``requires_grad`` from membership.
-    The zero route has no adapter; only its head can appear here.
-    """
-    if not stack.training_active:
-        raise StateError("trainable_set requires an active task")
-    current = stack.task_adapters[-1]
-    params = [current.A, current.B]
-    if selector.variant == "AR":
-        params.extend(selector.heads)
-    else:
-        params.append(selector.heads[-1])
-    return params

@@ -147,7 +147,6 @@ def _run_three_task_stream(method: str):
         train_task(model, Optimizer(params, kind="adam", lr=cfg.lr),
                    data.train_x, data.train_y, cfg,
                    np.random.default_rng(20 + t))
-        driver.end_stage(model, t)
 
     stage(0)
     stage(1)
@@ -291,7 +290,6 @@ def test_criterion_10_determinism_and_persistence(grid, tmp_path):
         train_task(model, Optimizer(params, kind="adam", lr=cfg.lr),
                    data.train_x, data.train_y, cfg,
                    np.random.default_rng(30 + t))
-        driver.end_stage(model, t)
     eval_x = generate_task(stream.tasks[0]).eval_x
     with ad.no_grad():
         live = model.forward(eval_x, mode="eval").data

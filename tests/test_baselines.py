@@ -138,7 +138,6 @@ def test_sinlora_single_persistent_adapter():
                for s in model.sites.values())
     p0 = driver.start_stage(model, 0, seed=1)
     train_steps(model, driver, p0, seed=1)
-    driver.end_stage(model, 0)
     p1 = driver.start_stage(model, 1, seed=2)
     # same tensors stay trainable across stages; nothing is ever frozen
     assert [id(t) for t in p0] == [id(t) for t in p1]
@@ -158,14 +157,12 @@ def test_inclora_freezes_previous_stages():
     p0 = driver.start_stage(model, 0, seed=1)
     assert len(p0) == 2 * len(model.sites)
     train_steps(model, driver, p0, seed=1)
-    driver.end_stage(model, 0)
     first = [site.stack.task_adapters[0] for site in model.sites.values()]
     first_snap = snapshot([t for a in first for t in (a.A, a.B)])
 
     p1 = driver.start_stage(model, 1, seed=2)
     assert set(map(id, p0)).isdisjoint(map(id, p1))
     train_steps(model, driver, p1, seed=2)
-    driver.end_stage(model, 1)
 
     assert all(frozen(a) for a in first)
     assert snapshot([t for a in first for t in (a.A, a.B)]) == first_snap
@@ -188,7 +185,6 @@ def test_amlora_selector_growth_and_variants():
 
         p0 = driver.start_stage(model, 0, seed=1)
         train_steps(model, driver, p0, seed=1)
-        driver.end_stage(model, 0)
         p1 = driver.start_stage(model, 1, seed=2)
         for site in model.sites.values():
             heads = site.selector.heads
@@ -201,7 +197,6 @@ def test_amlora_selector_growth_and_variants():
         per_site = 2 + (3 if variant == "AR" else 1)
         assert len(p1) == per_site * len(model.sites)
         train_steps(model, driver, p1, seed=2)
-        driver.end_stage(model, 1)
 
 
 def test_amlora_old_adapters_freeze_but_ar_heads_move():
@@ -210,7 +205,6 @@ def test_amlora_old_adapters_freeze_but_ar_heads_move():
     driver.attach(model, seed=0)
     p0 = driver.start_stage(model, 0, seed=1)
     train_steps(model, driver, p0, seed=1)
-    driver.end_stage(model, 0)
     first = [site.stack.task_adapters[0] for site in model.sites.values()]
     adapter_snap = snapshot([t for a in first for t in (a.A, a.B)])
     head_snap = snapshot([site.selector.heads[1]
@@ -229,7 +223,6 @@ def test_amlora_lambda_schedule_applies_per_stage():
     driver.start_stage(model, 0, seed=1)
     assert driver.lam == 0.0
     assert driver.extra_loss(model) is None
-    driver.end_stage(model, 0)
     driver.start_stage(model, 1, seed=2)
     assert driver.lam == 1e-3
     extra = driver.extra_loss(model)

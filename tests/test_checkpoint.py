@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from amlora.baselines import MethodSpec, make_driver
-from amlora.checkpoint import (_read_records, _tensors, load_checkpoint,
-                               save_checkpoint)
+from amlora.checkpoint import _read_records, load_checkpoint, save_checkpoint
 from amlora.errors import CheckpointFormatError
 from amlora.model import ModelConfig, build_model
 from reference import frozen
@@ -33,7 +32,6 @@ def gated_model(n_tasks=2, seed=0):
             a.B.data = rng.normal(0.0, 0.2, size=a.B.data.shape)
             for h in site.selector.heads:
                 h.data = rng.normal(0.0, 0.5, size=h.data.shape)
-        driver.end_stage(model, t)
     return model
 
 
@@ -73,10 +71,9 @@ def test_loaded_model_is_inert(tmp_path):
     path = str(tmp_path / "inert.ckpt")
     save_checkpoint(gated_model(), path)
     loaded = load_checkpoint(path)
-    assert all(not p.requires_grad for _, p in loaded.base_parameters())
+    assert all(not t.requires_grad for _, t in loaded.tensors())
     for site in loaded.sites.values():
         assert all(frozen(a) for a in site.stack.task_adapters)
-        assert all(not h.requires_grad for h in site.selector.heads)
 
 
 def test_record_counts_per_site(tmp_path):
@@ -196,6 +193,17 @@ def test_base_shape_mismatch(tmp_path):
             f.write(_record(name, arr))
     with pytest.raises(CheckpointFormatError, match="shape"):
         load_checkpoint(broken)
+
+
+def test_record_named_twice_rejected(tmp_path):
+    # the later of two same-named records once silently replaced the first
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(build_model(CFG, seed=0), path)
+    with open(path, "ab") as f:
+        f.write(_record("base.classifier.b", np.full(3, 7.0)))
+    with pytest.raises(CheckpointFormatError,
+                       match="'base.classifier.b' appears twice"):
+        load_checkpoint(path)
 
 
 def _write_records(path, records):
@@ -409,7 +417,6 @@ def staged_model(cfg, method, variant="AR", n_tasks=2):
     driver.attach(model, seed=0)
     for t in range(n_tasks):
         driver.start_stage(model, t, seed=t)
-        driver.end_stage(model, t)
     return model
 
 
@@ -442,7 +449,7 @@ def test_format_v1_bytes_are_pinned(tmp_path, key):
                            f"{np.__version__}; got {got}")
     names = list(_read_records(path))
     assert names == ([n for n in names if n.startswith("config.")]
-                     + [n for n, _ in _tensors(model)])
+                     + [n for n, _ in model.tensors()])
 
 
 @pytest.mark.parametrize("cfg", [CFG, MLP_CFG], ids=["transformer", "mlp"])
@@ -454,17 +461,17 @@ def test_round_trip_keeps_every_tensor_record(tmp_path, cfg, n_tasks, method,
                                               variant):
     model = staged_model(cfg, method, variant, n_tasks)
     rng = np.random.default_rng(n_tasks)
-    for _, t in _tensors(model):  # no record left at its initial bytes
+    for _, t in model.tensors():  # no record left at its initial bytes
         t.data = rng.normal(size=t.data.shape)
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
 
     def view(m):
-        return [(n, t.data.shape, t.data.tobytes()) for n, t in _tensors(m)]
+        return [(n, t.data.shape, t.data.tobytes()) for n, t in m.tensors()]
 
     assert view(loaded) == view(model)
-    assert not any(t.requires_grad for _, t in _tensors(loaded))
+    assert not any(t.requires_grad for _, t in loaded.tensors())
     assert loaded.config == model.config
     assert ([s.selector.variant for s in loaded.sites.values() if s.selector]
             == [s.selector.variant for s in model.sites.values() if s.selector])

@@ -54,13 +54,14 @@ def test_attention_grads_match_finite_difference(frozen):
 
 
 def _stack(n, rng, d_out=6, d_in=4):
-    """n adapters, earlier ones frozen by ``begin_task``, all off zero."""
+    """n adapters, all off zero, all but the newest frozen."""
     stack = AdapterStack(d_out, d_in, rank=2, alpha=4.0)
     for t in range(n):
         a = stack.begin_task(seed=t)
         a.A.data = rng.normal(0.0, 0.5, size=a.A.data.shape)
         a.B.data = rng.normal(0.0, 0.5, size=a.B.data.shape)
-    stack.training_active = True
+    for a in stack.task_adapters[:-1]:
+        a.A.requires_grad = a.B.requires_grad = False
     return stack
 
 
@@ -239,7 +240,7 @@ def test_pretraining_step_node_budget():
     # all base weights train, as in pretrain_base and seqft; 79 nodes when
     # every linear and attention block was a chain of ops
     _, model, batch, labels = _default_model()
-    model.set_base_trainable(True)
+    model.train_only([t for _, t in model.base_parameters()])
     assert _step_nodes(model, batch, labels) <= 30
 
 
@@ -251,8 +252,6 @@ def test_amlora_step_node_budget_at_four_adapters():
     driver.attach(model, seed=0)
     for stage in range(4):
         driver.start_stage(model, stage, seed=stage)
-        if stage < 3:
-            driver.end_stage(model, stage)
     assert all(len(s.stack.task_adapters) == 4 for s in model.sites.values())
     assert _step_nodes(model, batch, labels, driver) <= 40
 

@@ -68,9 +68,9 @@ def test_report_forgetting_oracle():
 
 def test_train_task_step_count_and_zero_lr():
     model = build_model(MODEL, seed=0)
-    model.set_base_trainable(True)
-    data = generate_task(small_stream().tasks[0])
     params = [p for _, p in model.base_parameters()]
+    model.train_only(params)
+    data = generate_task(small_stream().tasks[0])
     before = [p.data.tobytes() for p in params]
     cfg = TrainConfig(epochs=2, lr=0.0, batch_size=8)
     steps = train_task(model, Optimizer(params, lr=0.0), data.train_x,
@@ -82,10 +82,10 @@ def test_train_task_step_count_and_zero_lr():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 in matmul
 def test_train_task_rejects_non_finite_loss():
     model = build_model(MODEL, seed=0)
-    model.set_base_trainable(True)
+    params = [p for _, p in model.base_parameters()]
+    model.train_only(params)
     model.classifier.w0.data[:] = np.inf
     data = generate_task(small_stream().tasks[0])
-    params = [p for _, p in model.base_parameters()]
     with pytest.raises(StateError, match="non-finite"):
         train_task(model, Optimizer(params, lr=1e-2), data.train_x,
                    data.train_y, TrainConfig(), np.random.default_rng(0))

@@ -31,8 +31,9 @@ def faults():
 spec = replace(to_stream(default_config()).tasks[0], eval_per_class=200)
 data = generate_task(spec)
 model = build_model(ModelConfig(), 0)
-model.set_base_trainable(True)
-opt = Optimizer([t for _, t in model.base_parameters()], lr=1e-3)
+base = [t for _, t in model.base_parameters()]
+model.train_only(base)
+opt = Optimizer(base, lr=1e-3)
 cfg = TrainConfig(batch_size=8)
 rng = np.random.default_rng(0)
 x, y = data.train_x, data.train_y

@@ -195,14 +195,20 @@ def test_dropout_modes():
                           m0.forward(ids, mode="eval").data)
 
 
-def test_set_base_trainable():
+def test_train_only_trains_exactly_the_given_tensors():
     m = small_model()
     assert all(not p.requires_grad for _, p in m.base_parameters())
-    m.set_base_trainable(True)
-    assert all(p.requires_grad for _, p in m.base_parameters())
+    base = [p for _, p in m.base_parameters()]
+    m.train_only(base)
+    assert all(p.requires_grad for p in base)
     names = [n for n, _ in m.base_parameters()]
     assert len(names) == len(set(names))
     assert "embedding" in names and "classifier.w" in names
+    base[0].grad = np.ones_like(base[0].data)
+    m.train_only(base[1:2])
+    assert [p.requires_grad for p in base] == [False, True] + [False] * (
+        len(base) - 2)
+    assert base[0].grad is None
 
 
 def test_mlp_backbone_forward_and_validation():
@@ -222,10 +228,10 @@ def test_mlp_grads_match_finite_difference():
     cfg = ModelConfig(backbone="mlp", embed_dim=6, num_layers=2, num_heads=1,
                       num_classes=3, dropout_rate=0.0, adapter_sites=("ffn",))
     m = build_model(cfg, seed=3)
-    m.set_base_trainable(True)
+    params = [p for _, p in m.base_parameters()]
+    m.train_only(params)
     x = np.random.default_rng(1).normal(size=(5, 6))
     y = np.array([0, 1, 2, 1, 0])
-    params = [p for _, p in m.base_parameters()]
 
     def loss_fn(_params):
         return ad.cross_entropy(m.forward(x, mode="train"), y)
@@ -235,10 +241,10 @@ def test_mlp_grads_match_finite_difference():
 
 def test_transformer_grads_match_finite_difference():
     m = small_model(seed=9)
-    m.set_base_trainable(True)
+    params = [p for _, p in m.base_parameters()]
+    m.train_only(params)
     ids = token_batch(seed=7, b=3)
     y = np.array([0, 2, 1])
-    params = [p for _, p in m.base_parameters()]
 
     def loss_fn(_params):
         return ad.cross_entropy(m.forward(ids, mode="train"), y)

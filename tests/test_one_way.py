@@ -174,7 +174,6 @@ def test_each_value_has_one_owner_and_no_test_only_parameter():
     # ModelConfig's positive ints are listed once, in amlora.model.
     assert not hasattr(selector.AttentionalSelector(1, 4), "lam")
     for fn, name in ((selector.AttentionalSelector, "lam"),
-                     (selector.trainable_set, "variant"),
                      (harness.run_stream, "out_dir"),
                      (configfile.parse_config, "base"),
                      (configfile.load_config, "base"),
@@ -315,6 +314,23 @@ def test_the_l1_term_has_one_owner():
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 assert "sparsity_loss" not in f.read(), name
     assert "sparsity_loss" not in amlora.__all__
+
+
+def test_what_trains_is_decided_in_one_place():
+    # a stage's tensors come from the driver's list alone: a flag on the
+    # stack, a freeze per adapter, a head loop and a base switch once each
+    # set requires_grad apart from the list handed to the optimizer
+    src = os.path.dirname(amlora.__file__)
+    words = ("training_active", "set_base_trainable", "trainable_set",
+             "end_stage")
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                text = f.read()
+            offenders += [(name, w) for w in words if w in text]
+    assert offenders == []
+    assert not hasattr(adapters.LoraAdapter, "freeze")
 
 
 def test_gates_are_handed_back_per_call_and_no_site_holds_them():

@@ -44,7 +44,6 @@ def _model(method):
     driver.attach(model, 1)
     for stage in range(4):
         driver.start_stage(model, stage, 10 + stage)
-        driver.end_stage(model, stage)
     rng = np.random.default_rng(2)
     for site in model.sites.values():
         tensors = [t for a in site.stack.task_adapters for t in (a.A, a.B)]
@@ -233,7 +232,6 @@ driver = make_driver(MethodSpec("amlora"))
 driver.attach(model, 1)
 for stage in range(4):
     driver.start_stage(model, stage, stage)
-    driver.end_stage(model, stage)
 accs = [evaluate(model, data) for _ in range(4)]
 print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "acc": accs,
                   "rows": int(data.eval_x.shape[0]),

@@ -1,4 +1,4 @@
-"""Gating over adapter stacks: softmax scores, sparsity, trainable sets."""
+"""Gating over adapter stacks: softmax scores, sparsity."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from amlora import autodiff as ad
 from amlora.adapters import AdapterStack, LoraAdapter
 from amlora.autodiff import Tensor, finite_diff_check
 from amlora.errors import ConfigError, DimensionError, StateError
-from amlora.selector import AttentionalSelector, apply_gated, trainable_set
+from amlora.selector import AttentionalSelector, apply_gated
 from reference import gate, materialized, mixed_forward, stack_outputs
 
 
@@ -211,23 +211,6 @@ def test_sparsity_gradient_is_scaled_sign():
     assert np.array_equal(sel.heads[0].grad, 0.25 * np.array([[1.0], [-1.0], [0.0]]))
 
 
-def test_trainable_set_variants():
-    stack = make_stack(3)
-    sel = AttentionalSelector(len(stack), stack.d_out)
-    with pytest.raises(StateError):
-        trainable_set(sel, stack)
-    stack.training_active = True
-    current = stack.task_adapters[-1]
-
-    sel.variant = "NR"
-    nr = trainable_set(sel, stack)
-    assert nr == [current.A, current.B, sel.heads[-1]]
-
-    sel.variant = "AR"
-    ar = trainable_set(sel, stack)
-    assert ar == [current.A, current.B] + sel.heads
-
-
 def test_gated_forward_grads_match_finite_difference():
     rng = np.random.default_rng(11)
     stack = make_stack(2, spread=0.2)
@@ -237,8 +220,8 @@ def test_gated_forward_grads_match_finite_difference():
     x = Tensor(rng.normal(size=(4, 4)))
     w0 = Tensor(rng.normal(0.0, 0.2, size=(stack.d_out, 4)))
     y = np.array([0, 1, 2, 0])
-    stack.training_active = True
-    params = trainable_set(sel, stack)
+    current = stack.task_adapters[-1]
+    params = [current.A, current.B] + sel.heads
 
     def loss_fn(_params):
         logits = mixed_forward(w0, stack, sel, x)

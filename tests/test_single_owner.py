@@ -1,5 +1,5 @@
 """Each decision has one owner: config defaults, the atomic writer, report
-metrics and the AR/NR trainability rule."""
+metrics and what trains in each stage."""
 
 import csv
 import os
@@ -12,11 +12,11 @@ import pytest
 import amlora
 from amlora.atomic import atomic_write, write_csv
 from amlora.baselines import MethodSpec, make_driver
-from amlora.checkpoint import save_checkpoint
+from amlora.checkpoint import load_checkpoint, save_checkpoint
 from amlora.cli import parse_and_dispatch
 from amlora.configfile import (default_config, to_method_spec,
                                to_model_config, to_stream, to_train_config)
-from amlora.harness import TrainConfig
+from amlora.harness import TrainConfig, pretrain_base
 from amlora.model import ModelConfig, build_model
 from amlora.tasks import build_stream
 
@@ -116,17 +116,32 @@ def test_report_matches_summary_means(tmp_path, capsys):
             f"{np.mean([float(r['mean_forgetting']) for r in mine]):.4f}"
 
 
-@pytest.mark.parametrize("variant", ["AR", "NR"])
-def test_head_trainability_follows_trainable_set(variant):
-    model = build_model(ModelConfig(vocab_size=16, embed_dim=8, num_layers=1,
-                                    num_heads=2, seq_len=4, num_classes=2), 0)
-    driver = make_driver(MethodSpec("amlora", rank=2, variant=variant))
+@pytest.mark.parametrize("method,variant", [
+    ("seqft", "AR"), ("sinlora", "AR"), ("inclora", "AR"), ("amlora", "AR"),
+    ("amlora", "NR"), ("pertaskft", "AR"), ("mtl", "AR")],
+    ids=["seqft", "sinlora", "inclora", "amlora-AR", "amlora-NR",
+         "pertaskft", "mtl"])
+def test_exactly_the_returned_list_trains(tmp_path, method, variant):
+    # the driver's list is what the optimizer gets and all that trains; a
+    # pretrained base and a loaded checkpoint train nothing
+    cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=1, num_heads=2,
+                      seq_len=4, num_classes=2)
+    stream = build_stream(num_tasks=1, num_classes=2, train_per_task=8,
+                          eval_per_task=4, vocab=16, seq_len=4,
+                          sig_tokens_per_class=2)
+    model = pretrain_base(cfg, 0, stream, TrainConfig(pretrain_epochs=1), 0)
+    assert not any(t.requires_grad for _, t in model.tensors())
+    driver = make_driver(MethodSpec(method, rank=2, variant=variant))
     driver.attach(model, 0)
     for stage in range(3):
         params = driver.start_stage(model, stage, stage)
+        trains = [t for _, t in model.tensors() if t.requires_grad]
+        assert len(trains) == len(params)
+        assert all(any(t is p for p in params) for t in trains)
+    if method == "amlora":
         for site in model.sites.values():
-            for head in site.selector.heads:
-                assert head.requires_grad == any(head is p for p in params)
-        driver.end_stage(model, stage)
-    trains = [h.requires_grad for h in site.selector.heads]
-    assert trains == ([True] * 4 if variant == "AR" else [False] * 3 + [True])
+            assert [h.requires_grad for h in site.selector.heads] == (
+                [True] * 4 if variant == "AR" else [False] * 3 + [True])
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    assert not any(t.requires_grad for _, t in load_checkpoint(path).tensors())

@@ -48,7 +48,6 @@ def _setup(config, method, n, extra=()):
         driver.attach(model, 1)
         for stage in range(n):
             driver.start_stage(model, stage, 10 + stage)
-            driver.end_stage(model, stage)
         rng = np.random.default_rng(2)
         for site in model.sites.values():
             tensors = [t for a in site.stack.task_adapters for t in (a.A, a.B)]

@@ -25,8 +25,8 @@ def pretrain_step():
     warm batch-8 step taken, and the next batch's rows."""
     data = generate_task(to_stream(default_config()).pretrain)
     model = build_model(ModelConfig(), 0)
-    model.set_base_trainable(True)
     params = [t for _, t in model.base_parameters()]
+    model.train_only(params)
     opt = Optimizer(params, lr=1e-3)
     rng = np.random.default_rng(0)
     x, y = data.train_x, data.train_y
